@@ -24,6 +24,7 @@
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/shard.hpp"
+#include "fault/strobe.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/parallel_sim.hpp"
 #include "tpg/lfsr.hpp"
@@ -138,9 +139,11 @@ BENCHMARK(BM_FaultSim_PpsfpMt)
     ->Unit(benchmark::kMillisecond);
 
 void BM_FaultSim_GradeFullProgram(benchmark::State& state) {
-  // The Table 1 workload: grade a 1024-pattern program on the LSI
-  // stand-in. Arg 0 = serial compiled PPSFP; arg N > 0 = simulate_ppsfp_mt
-  // with N worker threads.
+  // Full-observation grading of the Table 1 program (1024 LFSR patterns
+  // on the LSI stand-in) with every output strobed from pattern 0 — the
+  // side case that finishes inside the first blocks; the progressive
+  // Table 1 workload is BM_FaultSim_GradeProgressive. Arg 0 = serial
+  // compiled PPSFP; arg N > 0 = simulate_ppsfp_mt with N worker threads.
   const circuit::Circuit c = circuit::make_array_multiplier(16);
   const fault::FaultList faults = fault::FaultList::full_universe(c);
   const sim::PatternSet patterns =
@@ -161,8 +164,9 @@ BENCHMARK(BM_FaultSim_GradeFullProgram)->Arg(0)->Arg(8)
     ->Unit(benchmark::kMillisecond)->Iterations(3);
 
 void BM_FaultSim_GradeTransitionProgram(benchmark::State& state) {
-  // The same Table 1 workload on the transition universe: the two-pattern
-  // kernel's launch gating plus the larger (less collapsed) class list.
+  // The same full-observation program on the transition universe: the
+  // two-pattern kernel's launch gating plus the larger (less collapsed)
+  // class list.
   const circuit::Circuit c = circuit::make_array_multiplier(16);
   const fault::FaultList faults = fault::FaultList::transition_universe(c);
   const sim::PatternSet patterns =
@@ -181,6 +185,30 @@ void BM_FaultSim_GradeTransitionProgram(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultSim_GradeTransitionProgram)->Arg(0)->Arg(8)
     ->Unit(benchmark::kMillisecond)->Iterations(3);
+
+void BM_FaultSim_GradeProgressive(benchmark::State& state) {
+  // The Table 1 workload (tools/specs/table1.spec): a 1024-pattern LFSR
+  // program under progressive per-pin strobing, one more output strobed
+  // every 24 patterns, graded by simulate_ppsfp on one thread at width 1.
+  // Most live (class, block) steps have no strobed point in the class's
+  // cone and are skipped (fault_sim.hpp). Arg = multiplier width.
+  const int width = static_cast<int>(state.range(0));
+  const circuit::Circuit c = circuit::make_array_multiplier(width);
+  const fault::FaultList faults = fault::FaultList::full_universe(c);
+  const sim::PatternSet patterns =
+      tpg::lfsr_patterns(c.pattern_inputs().size(), 1024, 1981);
+  const fault::StrobeSchedule schedule =
+      fault::StrobeSchedule::progressive(c.observed_points().size(), 24);
+  for (auto _ : state) {
+    const fault::FaultSimResult r =
+        simulate_ppsfp(faults, patterns, &schedule);
+    benchmark::DoNotOptimize(r.coverage);
+  }
+  state.SetLabel("mult" + std::to_string(width) +
+                 " x 1024 patterns, progressive step 24, width 1");
+}
+BENCHMARK(BM_FaultSim_GradeProgressive)->Arg(16)->Arg(32)
+    ->Unit(benchmark::kMillisecond)->MinTime(0.25);
 
 void BM_GradeWide(benchmark::State& state) {
   // The Table 1 workload scaled up (mult16 x 4096 patterns) through the

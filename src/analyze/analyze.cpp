@@ -493,8 +493,10 @@ Report analyze(const Circuit& circuit, const Options& options) {
     const RedundancyReport redundancy = identify_redundancies(engine);
     std::vector<fault::Fault> merged;
     merged.reserve(report.untestable_sites.size() + redundancy.sites.size());
+    report.implication_sites.reserve(redundancy.sites.size());
     auto structural = report.untestable_sites.begin();
     for (const RedundantSite& site : redundancy.sites) {
+      report.implication_sites.push_back(site.fault);
       while (structural != report.untestable_sites.end() &&
              *structural < site.fault) {
         merged.push_back(*structural++);

@@ -82,6 +82,13 @@ struct Report {
   /// redundancy is out of structural reach.
   std::vector<fault::Fault> untestable_sites;
 
+  /// The implication engine's proofs alone (RedundancyReport::sites, in
+  /// its order), before the merge into untestable_sites. Filled only when
+  /// the prover ran: a finalized, structurally sound circuit with the
+  /// untestable class enabled. The flow gate's static-redundancy census
+  /// folds over these, so one gate run builds one engine.
+  std::vector<fault::Fault> implication_sites;
+
   FfrStats ffr;
 
   [[nodiscard]] bool has_error_diagnostics() const {

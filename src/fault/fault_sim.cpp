@@ -445,6 +445,16 @@ std::vector<std::uint32_t> sorted_live_list(const FaultList& faults,
   return live;
 }
 
+/// True when class `c` sleeps through a block that ends at pattern
+/// `block_end`: no point in its cone is strobed before then, so its masked
+/// detect word is 0 by construction. The grading loops leave a sleeping
+/// class live and ungraded. `wake` is empty under full observation, where
+/// nothing sleeps.
+bool asleep(const std::vector<std::size_t>& wake, std::uint32_t c,
+            std::size_t block_end) {
+  return !wake.empty() && wake[c] >= block_end;
+}
+
 void finalize_result(const FaultList& faults, FaultSimResult& result) {
   result.finalize(faults);
 }
@@ -472,6 +482,55 @@ CoverageCurve FaultSimResult::curve(const FaultList& faults,
   }
   return CoverageCurve::from_first_detection(
       first_detection, weights, faults.fault_count(), pattern_count);
+}
+
+std::vector<std::size_t> wake_patterns(const FaultList& faults,
+                                       const CompiledCircuit& compiled,
+                                       const StrobeSchedule& schedule) {
+  const auto& points = compiled.observed_points();
+  LSIQ_EXPECT(schedule.point_count() == points.size(),
+              "strobe schedule must cover every observed point");
+  LSIQ_EXPECT(compiled.node_count() == faults.circuit().gate_count(),
+              "wake_patterns: compiled view does not match the circuit");
+
+  // Per gate: the earliest start over the points its value can reach.
+  // Every point stays strobed once started, so this one scalar is when
+  // the gate's cone first becomes visible to the tester.
+  std::vector<std::size_t> gate_wake(compiled.node_count(), kNeverWakes);
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    gate_wake[points[i]] = std::min(gate_wake[points[i]], schedule.start(i));
+  }
+  // Readers sit at strictly higher levels, so a reverse pass over the
+  // level-sorted evaluation order, then the sources, sees every reader
+  // final before the gates feeding it. A flip-flop reader is a capture
+  // boundary: what it captures is observed at the gate on its D pin,
+  // which is itself a point and seeded above.
+  const auto fold_readers = [&](GateId id) {
+    const GateId* readers = compiled.fanout(id);
+    for (std::size_t i = 0; i < compiled.fanout_count(id); ++i) {
+      if (compiled.type(readers[i]) == GateType::kDff) continue;
+      gate_wake[id] = std::min(gate_wake[id], gate_wake[readers[i]]);
+    }
+  };
+  const auto& order = compiled.eval_order();
+  for (auto it = order.rbegin(); it != order.rend(); ++it) {
+    fold_readers(*it);
+  }
+  for (GateId id = 0; id < compiled.node_count(); ++id) {
+    const GateType type = compiled.type(id);
+    if (type == GateType::kInput || type == GateType::kDff) fold_readers(id);
+  }
+
+  // A fault first shows at its gate's output, except a flip-flop D-pin
+  // branch, which only its own scan capture sees (resolve_site).
+  std::vector<std::size_t> wake(faults.class_count());
+  for (std::size_t c = 0; c < wake.size(); ++c) {
+    const Fault& rep = faults.representatives()[c];
+    wake[c] = !is_stem(rep) && compiled.type(rep.gate) == GateType::kDff
+                  ? schedule.start(compiled.point_index(rep.gate))
+                  : gate_wake[rep.gate];
+  }
+  return wake;
 }
 
 FaultSimResult simulate_serial(const FaultList& faults,
@@ -558,7 +617,7 @@ namespace {
 /// written straight into the caller's first_detection vector.
 void grade_range_narrow(
     const FaultList& faults, const sim::PatternSet& patterns,
-    const StrobeSchedule* schedule,
+    const StrobeSchedule* schedule, const std::vector<std::size_t>& wake,
     const std::shared_ptr<const CompiledCircuit>& compiled, bool use_pool,
     std::size_t num_threads, std::size_t class_begin, std::size_t class_end,
     std::vector<std::int64_t>& first_detection) {
@@ -589,11 +648,16 @@ void grade_range_narrow(
       const std::uint64_t mask = patterns.block_mask(b);
       const std::vector<std::uint64_t>* point_masks =
           strobe_masks.for_block(b);
+      const std::size_t block_end = (b + 1) * 64;
 
       propagator.begin_block(good);
       std::size_t kept = 0;
       for (std::size_t i = 0; i < live.size(); ++i) {
         const std::uint32_t c = live[i];
+        if (asleep(wake, c, block_end)) {
+          live[kept++] = c;
+          continue;
+        }
         const Fault& rep = faults.representatives()[c];
         const std::uint64_t detect =
             (transition
@@ -638,6 +702,7 @@ void grade_range_narrow(
     const std::vector<std::uint64_t>& good = good_sim.values();
     const std::uint64_t mask = patterns.block_mask(b);
     const std::vector<std::uint64_t>* point_masks = strobe_masks.for_block(b);
+    const std::size_t block_end = (b + 1) * 64;
 
     const std::size_t live_count = live.size();
     pool.run([&](std::size_t lane) {
@@ -645,6 +710,10 @@ void grade_range_narrow(
       Propagator& propagator = propagators[lane];
       propagator.begin_block(good);
       for (std::size_t i = lane; i < live_count; i += lanes) {
+        if (asleep(wake, live[i], block_end)) {
+          detects[i] = 0;
+          continue;
+        }
         const Fault& rep = faults.representatives()[live[i]];
         detects[i] =
             (transition
@@ -802,7 +871,7 @@ std::int64_t first_wide_detection(std::size_t wide_block,
 template <std::size_t N>
 void grade_range_wide(
     const FaultList& faults, const sim::PatternSet& patterns,
-    const StrobeSchedule* schedule,
+    const StrobeSchedule* schedule, const std::vector<std::size_t>& wake,
     const std::shared_ptr<const CompiledCircuit>& compiled, bool use_pool,
     std::size_t num_threads, std::size_t class_begin, std::size_t class_end,
     std::vector<std::int64_t>& first_detection) {
@@ -873,12 +942,17 @@ void grade_range_wide(
       const std::uint64_t mask = patterns.block_mask(b);
       const std::vector<std::uint64_t>* narrow_point_masks =
           strobe_masks.for_block(b);
+      const std::size_t block_end = (b + 1) * 64;
 
       const std::size_t live_count = live.size();
       if (pool == nullptr) {
         Propagator& propagator = narrow_propagators[0];
         propagator.begin_block(good);
         for (std::size_t i = 0; i < live_count; ++i) {
+          if (asleep(wake, live[i], block_end)) {
+            narrow_detects[i] = 0;
+            continue;
+          }
           const Fault& rep = faults.representatives()[live[i]];
           narrow_detects[i] =
               (transition ? propagator.detect_word_transition(
@@ -893,6 +967,10 @@ void grade_range_wide(
           Propagator& propagator = narrow_propagators[lane];
           propagator.begin_block(good);
           for (std::size_t i = lane; i < live_count; i += lanes) {
+            if (asleep(wake, live[i], block_end)) {
+              narrow_detects[i] = 0;
+              continue;
+            }
             const Fault& rep = faults.representatives()[live[i]];
             narrow_detects[i] =
                 (transition
@@ -958,12 +1036,17 @@ void grade_range_wide(
       }
       point_masks = point_mask_words.data();
     }
+    const std::size_t block_end = (wb + 1) * N * 64;
 
     const std::size_t live_count = live.size();
     if (pool == nullptr) {
       WidePropagator<N>& propagator = propagators[0];
       propagator.begin_block(good.data());
       for (std::size_t i = 0; i < live_count; ++i) {
+        if (asleep(wake, live[i], block_end)) {
+          detects[i] = Word{};
+          continue;
+        }
         const Fault& rep = faults.representatives()[live[i]];
         detects[i] =
             (transition
@@ -979,6 +1062,10 @@ void grade_range_wide(
         WidePropagator<N>& propagator = propagators[lane];
         propagator.begin_block(good.data());
         for (std::size_t i = lane; i < live_count; i += lanes) {
+          if (asleep(wake, live[i], block_end)) {
+            detects[i] = Word{};
+            continue;
+          }
           const Fault& rep = faults.representatives()[live[i]];
           detects[i] =
               (transition
@@ -1025,20 +1112,26 @@ void grade_class_range(
               "grade_class_range: class range out of bounds");
   LSIQ_EXPECT(first_detection.size() == faults.class_count(),
               "grade_class_range: first_detection must cover every class");
+  // Once per grade, and only when some point starts late: under full
+  // observation every class is awake from pattern 0.
+  std::vector<std::size_t> wake;
+  if (schedule != nullptr && !schedule->is_full()) {
+    wake = wake_patterns(faults, *compiled, *schedule);
+  }
   switch (width) {
     case 1:
-      grade_range_narrow(faults, patterns, schedule, compiled, use_pool,
-                         num_threads, class_begin, class_end,
+      grade_range_narrow(faults, patterns, schedule, wake, compiled,
+                         use_pool, num_threads, class_begin, class_end,
                          first_detection);
       return;
     case 4:
-      grade_range_wide<4>(faults, patterns, schedule, compiled, use_pool,
-                          num_threads, class_begin, class_end,
+      grade_range_wide<4>(faults, patterns, schedule, wake, compiled,
+                          use_pool, num_threads, class_begin, class_end,
                           first_detection);
       return;
     case 8:
-      grade_range_wide<8>(faults, patterns, schedule, compiled, use_pool,
-                          num_threads, class_begin, class_end,
+      grade_range_wide<8>(faults, patterns, schedule, wake, compiled,
+                          use_pool, num_threads, class_begin, class_end,
                           first_detection);
       return;
     default:

@@ -32,9 +32,23 @@
 // All return, per collapsed fault class, the index of the first pattern
 // that detects it — the raw material for coverage curves (Section 5) and
 // for the virtual tester's first-failing-pattern experiment (Table 1).
+//
+// Strobe-aware grading. Under a strobe schedule that is not full (the
+// paper's progressive per-pin bring-up), every PPSFP-family engine skips
+// a class in each block that ends before the class's wake pattern: the
+// first pattern at which any observed point in its fanout cone is
+// strobed (wake_patterns). In such a block no point the fault can reach
+// is compared, so the masked detect word is 0 by construction; the class
+// is neither graded nor dropped, and grading resumes in the block where
+// it wakes. Skipping a step that can only yield 0 cannot change any
+// first_detection, so the result stays bit-identical and there is no knob
+// to turn it off. Full observation builds no wake vector and pays
+// nothing. simulate_serial does not skip: it is the oracle the skip is
+// checked against.
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -230,6 +244,9 @@ FaultSimResult simulate_ppsfp_mt(
 /// calling thread; true fans it out over resolve_worker_count(num_threads)
 /// lanes. The bits written are identical for every width / thread / range
 /// split — per-class detect words are pure functions of the patterns.
+/// Every PPSFP-family engine grades through here, so this is where the
+/// wake vector of a non-full schedule is built and every grading loop
+/// skips sleeping classes (see the header comment).
 void grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
@@ -237,6 +254,24 @@ void grade_class_range(
     std::size_t width, bool use_pool, std::size_t num_threads,
     std::size_t class_begin, std::size_t class_end,
     std::vector<std::int64_t>& first_detection);
+
+/// wake_patterns() entry of a class whose cone reaches no observed point.
+inline constexpr std::size_t kNeverWakes =
+    std::numeric_limits<std::size_t>::max();
+
+/// Per collapsed class: its wake pattern under `schedule`, the first
+/// pattern at which any observed point in the fanout cone of the class
+/// representative is strobed (kNeverWakes when the cone holds no point).
+/// A D-pin branch fault on a flip-flop is seen only by that flip-flop's
+/// scan capture, so it wakes at that point's start. Every schedule point
+/// stays strobed from its start onward, so one reverse-level pass over
+/// `compiled` (a compiled view of faults.circuit()) computes all of them;
+/// the schedule must cover every observed point. grade_class_range builds
+/// this vector once per grade when the schedule is not full.
+std::vector<std::size_t> wake_patterns(const FaultList& faults,
+                                       const circuit::CompiledCircuit&
+                                           compiled,
+                                       const StrobeSchedule& schedule);
 
 /// Detection words for one fault over one simulated block: bit p is set
 /// when pattern p of the block detects the fault. Convenience wrappers

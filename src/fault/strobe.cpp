@@ -33,9 +33,13 @@ StrobeSchedule StrobeSchedule::from_start_patterns(
   return StrobeSchedule(std::move(start_patterns));
 }
 
+std::size_t StrobeSchedule::start(std::size_t point) const {
+  LSIQ_EXPECT(point < starts_.size(), "start: point out of range");
+  return starts_[point];
+}
+
 bool StrobeSchedule::strobed(std::size_t point, std::size_t pattern) const {
-  LSIQ_EXPECT(point < starts_.size(), "strobed: point out of range");
-  return pattern >= starts_[point];
+  return pattern >= start(point);
 }
 
 std::uint64_t StrobeSchedule::lane_mask(std::size_t point,

@@ -36,6 +36,10 @@ class StrobeSchedule {
     return starts_.size();
   }
 
+  /// First pattern at which `point` is compared; it stays strobed from
+  /// there to the end of the program.
+  [[nodiscard]] std::size_t start(std::size_t point) const;
+
   /// True when the point is compared at the given pattern.
   [[nodiscard]] bool strobed(std::size_t point, std::size_t pattern) const;
 

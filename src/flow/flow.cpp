@@ -5,8 +5,6 @@
 #include <utility>
 
 #include "analyze/analyze.hpp"
-#include "analyze/implication.hpp"
-#include "analyze/redundancy.hpp"
 #include "analyze/testability.hpp"
 #include "bist/misr.hpp"
 #include "bist/session.hpp"
@@ -102,20 +100,19 @@ CheckOutcome check_detailed(const fault::FaultList& faults,
   }
 
   // The static-redundancy census: count the universe classes the
-  // implication engine proves untestable. A proof about any site of a
+  // implication engine proves untestable, folding over the proofs
+  // analyze() already made (Report::implication_sites; the universe's
+  // circuit is finalized, so the prover ran whenever the untestable class
+  // is on and the structure checks passed). A proof about any site of a
   // class covers the whole class — collapsing only merges faults no test
   // distinguishes. For a transition universe the proof transfers through
   // the capture half: the Fault record IS the matching capture stuck-at,
   // and a redundant capture objective makes the transition fault
   // untestable (tpg::generate_transition_test's kCapture proof).
   if (options.untestable != analyze::Policy::kOff) {
-    const circuit::CompiledCircuit compiled(faults.circuit());
-    const analyze::ImplicationEngine engine(compiled);
-    const analyze::RedundancyReport redundancy =
-        analyze::identify_redundancies(engine);
     std::vector<char> hit(faults.class_count(), 0);
-    for (const analyze::RedundantSite& site : redundancy.sites) {
-      const std::size_t index = faults.index_of(site.fault);
+    for (const fault::Fault& site : report.implication_sites) {
+      const std::size_t index = faults.index_of(site);
       if (index >= faults.fault_count()) continue;  // not in this universe
       hit[faults.class_of(index)] = 1;
     }

@@ -13,10 +13,14 @@
 // fault_model::TwoPatternWindow.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "analyze/implication.hpp"
+#include "circuit/compiled.hpp"
 #include "circuit/generators.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
@@ -31,6 +35,8 @@ namespace lsiq::fault {
 namespace {
 
 using circuit::Circuit;
+using circuit::CompiledCircuit;
+using circuit::GateType;
 using fault_model::FaultModel;
 using sim::PatternSet;
 
@@ -116,6 +122,80 @@ void expect_engines_agree(const FaultList& faults, const PatternSet& patterns,
   }
 }
 
+/// The wake pattern by its definition, the way the benchmark's strobe-dead
+/// census reads it: scan the blocks for the first lane in which some
+/// observed point in the representative's cone (ImplicationEngine::in_cone)
+/// is strobed (StrobeSchedule::lane_mask). A flip-flop D-pin branch is
+/// watched by its own scan capture only.
+std::size_t brute_force_wake(const FaultList& faults,
+                             const CompiledCircuit& compiled,
+                             const analyze::ImplicationEngine& engine,
+                             const StrobeSchedule& schedule, std::size_t c) {
+  const Fault& rep = faults.representatives()[c];
+  const auto& points = compiled.observed_points();
+  const bool dff_pin =
+      !is_stem(rep) && compiled.type(rep.gate) == GateType::kDff;
+  std::size_t last_start = 0;
+  for (std::size_t p = 0; p < points.size(); ++p) {
+    last_start = std::max(last_start, schedule.start(p));
+  }
+  for (std::size_t b = 0; b <= last_start / 64; ++b) {
+    std::uint64_t lanes = 0;
+    for (std::size_t p = 0; p < points.size(); ++p) {
+      const bool watched = dff_pin ? p == compiled.point_index(rep.gate)
+                                   : engine.in_cone(rep.gate, points[p]);
+      if (watched) lanes |= schedule.lane_mask(p, b);
+    }
+    if (lanes != 0) return b * 64 + std::countr_zero(lanes);
+  }
+  return kNeverWakes;
+}
+
+/// Live (class, 64-pattern block) steps of a grade — the class is still
+/// undetected entering the block — and how many of them the PPSFP engines
+/// skip because the class is asleep there; plus the classes that never
+/// wake inside the program.
+struct Steps {
+  std::size_t live = 0;
+  std::size_t asleep = 0;
+  std::size_t never_woken = 0;
+};
+
+/// Pin wake_patterns() to the brute-force definition, check what it
+/// implies for the oracle's result (no class is detected before it wakes;
+/// a class that never wakes inside the program stays -1), and count the
+/// steps the skip saves.
+Steps check_wakes(const FaultList& faults, const PatternSet& patterns,
+                  const StrobeSchedule& schedule) {
+  const CompiledCircuit compiled(faults.circuit());
+  const analyze::ImplicationEngine engine(compiled);
+  const std::vector<std::size_t> wake =
+      wake_patterns(faults, compiled, schedule);
+  EXPECT_EQ(wake.size(), faults.class_count());
+  const FaultSimResult serial = simulate_serial(faults, patterns, &schedule);
+  const std::size_t blocks = patterns.block_count();
+  Steps steps;
+  for (std::size_t c = 0; c < faults.class_count(); ++c) {
+    EXPECT_EQ(wake[c],
+              brute_force_wake(faults, compiled, engine, schedule, c))
+        << "class " << c;
+    const std::int64_t first = serial.first_detection[c];
+    if (wake[c] >= patterns.size()) {
+      ++steps.never_woken;
+      EXPECT_EQ(first, -1) << "class " << c << " never wakes";
+    } else if (first >= 0) {
+      EXPECT_GE(static_cast<std::size_t>(first), wake[c]) << "class " << c;
+    }
+    const std::size_t live =
+        first < 0 ? blocks : static_cast<std::size_t>(first) / 64 + 1;
+    for (std::size_t b = 0; b < live; ++b) {
+      ++steps.live;
+      if (wake[c] >= (b + 1) * 64) ++steps.asleep;
+    }
+  }
+  return steps;
+}
+
 class EngineEquivalence : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(EngineEquivalence, RandomDagBothModelsAllEngines) {
@@ -185,6 +265,88 @@ TEST(EngineEquivalence, ScanCircuitBothModelsAllEngines) {
     SCOPED_TRACE(model == FaultModel::kStuckAt ? "stuck_at" : "transition");
     const FaultList faults = fault_model::universe(c, model);
     expect_engines_agree(faults, patterns);
+  }
+}
+
+TEST(EngineEquivalence, GeneratedCircuitsUnderSleepingStrobes) {
+  // Schedules under which 40-93% of the live (class, block) steps sleep,
+  // so the strobe-aware skip carries the grade: a progressive step so
+  // large that every point after the third starts past the end of the
+  // program (its classes must stay -1), and shuffled start patterns that
+  // are not monotone in point index. The random DAGs above have one or
+  // two outputs, too few to stagger, so these are multi-output
+  // generators.
+  constexpr std::size_t kPatterns = 192;
+  const Circuit circuits[] = {
+      circuit::make_array_multiplier(4),
+      circuit::make_carry_select_adder(8, 4),
+      circuit::make_alu(4),
+      circuit::make_barrel_rotator(8),
+  };
+  std::uint64_t seed = 31;
+  for (const Circuit& c : circuits) {
+    SCOPED_TRACE(c.name());
+    const PatternSet patterns =
+        random_program(c.pattern_inputs().size(), kPatterns, ++seed);
+    const std::size_t points = c.observed_points().size();
+    ASSERT_GE(points, 4u);
+    util::Rng rng(seed);
+    std::vector<std::size_t> shuffled(points);
+    for (std::size_t& start : shuffled) {
+      start = rng.uniform_below(2 * kPatterns);
+    }
+    ASSERT_FALSE(std::is_sorted(shuffled.begin(), shuffled.end()));
+    const StrobeSchedule schedules[] = {
+        StrobeSchedule::progressive(points, kPatterns / 3),
+        StrobeSchedule::from_start_patterns(shuffled),
+    };
+    for (const StrobeSchedule& schedule : schedules) {
+      for (const FaultModel model : {FaultModel::kStuckAt,
+                                     FaultModel::kTransition}) {
+        SCOPED_TRACE(model == FaultModel::kStuckAt ? "stuck_at"
+                                                   : "transition");
+        const FaultList faults = fault_model::universe(c, model);
+        const Steps steps = check_wakes(faults, patterns, schedule);
+        EXPECT_GE(5 * steps.asleep, 2 * steps.live)
+            << "at least 40% of live steps should sleep: " << steps.asleep
+            << " of " << steps.live;
+        EXPECT_GT(steps.never_woken, 0u)
+            << "some class should sleep past the end of the program";
+        expect_engines_agree(faults, patterns, &schedule);
+      }
+    }
+  }
+}
+
+TEST(EngineEquivalence, ScanCircuitWithLateCapturesAllEngines) {
+  // Scan captures strobed late, half of them past the end of the
+  // program: a flip-flop D-pin branch fault is seen only by its own
+  // capture, so it sleeps until that capture's start even though the
+  // primary outputs are strobed from pattern 0.
+  const Circuit c = circuit::make_scan_accumulator(6);
+  const PatternSet patterns =
+      random_program(c.pattern_inputs().size(), 192, 777);
+  const std::size_t outputs = c.primary_outputs().size();
+  std::vector<std::size_t> starts(c.observed_points().size(), 0);
+  for (std::size_t i = outputs; i < starts.size(); ++i) {
+    starts[i] = 100 + 40 * (i - outputs);
+  }
+  const StrobeSchedule schedule = StrobeSchedule::from_start_patterns(starts);
+  for (const FaultModel model : {FaultModel::kStuckAt,
+                                 FaultModel::kTransition}) {
+    SCOPED_TRACE(model == FaultModel::kStuckAt ? "stuck_at" : "transition");
+    const FaultList faults = fault_model::universe(c, model);
+    const auto dff_pin = [&](const Fault& rep) {
+      return !is_stem(rep) && c.gate(rep.gate).type == GateType::kDff;
+    };
+    EXPECT_TRUE(std::any_of(faults.representatives().begin(),
+                            faults.representatives().end(), dff_pin))
+        << "no D-pin branch class survived collapsing";
+    const Steps steps = check_wakes(faults, patterns, schedule);
+    EXPECT_GT(steps.asleep, 0u) << "the schedule puts no class to sleep";
+    EXPECT_GT(steps.never_woken, 0u)
+        << "some class should sleep past the end of the program";
+    expect_engines_agree(faults, patterns, &schedule);
   }
 }
 
