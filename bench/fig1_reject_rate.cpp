@@ -3,7 +3,8 @@
 //
 // The paper reads three operating points off this plot (Section 4); they
 // are reproduced in the spot-check table, including the known text/graph
-// discrepancy at (y=0.2, n0=2) discussed in DESIGN.md.
+// discrepancy at (y=0.2, n0=2): the text's 99% coverage gives r = 0.0146,
+// and Eq. 8 needs 99.66% to reach r = 0.005.
 #include <algorithm>
 #include <iostream>
 

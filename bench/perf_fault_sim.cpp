@@ -23,7 +23,6 @@
 #include "circuit/generators.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
-#include "fault/shard.hpp"
 #include "fault/strobe.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/parallel_sim.hpp"
@@ -189,7 +188,7 @@ BENCHMARK(BM_FaultSim_GradeTransitionProgram)->Arg(0)->Arg(8)
 void BM_FaultSim_GradeProgressive(benchmark::State& state) {
   // The Table 1 workload (tools/specs/table1.spec): a 1024-pattern LFSR
   // program under progressive per-pin strobing, one more output strobed
-  // every 24 patterns, graded by simulate_ppsfp on one thread at width 1.
+  // every 24 patterns, graded by simulate_ppsfp on one thread.
   // Most live (class, block) steps have no strobed point in the class's
   // cone and are skipped (fault_sim.hpp). Arg = multiplier width.
   const int width = static_cast<int>(state.range(0));
@@ -205,55 +204,9 @@ void BM_FaultSim_GradeProgressive(benchmark::State& state) {
     benchmark::DoNotOptimize(r.coverage);
   }
   state.SetLabel("mult" + std::to_string(width) +
-                 " x 1024 patterns, progressive step 24, width 1");
+                 " x 1024 patterns, progressive step 24");
 }
-BENCHMARK(BM_FaultSim_GradeProgressive)->Arg(16)->Arg(32)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.25);
-
-void BM_GradeWide(benchmark::State& state) {
-  // The Table 1 workload scaled up (mult16 x 4096 patterns) through the
-  // width-generic kernel. Arg = grading word width: 1 is the narrow
-  // uint64_t path (the GradeFullProgram baseline), 4 and 8 grade 256 and
-  // 512 patterns per pass through sim::WideWord.
-  const circuit::Circuit c = circuit::make_array_multiplier(16);
-  const fault::FaultList faults = fault::FaultList::full_universe(c);
-  const sim::PatternSet patterns =
-      tpg::lfsr_patterns(c.pattern_inputs().size(), 4096, 1981);
-  const auto width = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    const fault::FaultSimResult r =
-        simulate_ppsfp(faults, patterns, nullptr, nullptr, width);
-    benchmark::DoNotOptimize(r.coverage);
-  }
-  state.SetLabel("mult16 x 4096 patterns, width " + std::to_string(width));
-}
-// MinTime rather than Iterations(3): the width comparison is a perf-gate
-// budget (--per BM_GradeWide), so the committed numbers need to be stable
-// across runs, not just cheap to collect.
-BENCHMARK(BM_GradeWide)->Arg(1)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond)->MinTime(0.25);
-
-void BM_GradeSharded(benchmark::State& state) {
-  // The sharded engine on the same workload: Arg = shard count, width 1,
-  // each shard graded on the calling thread. Measures the sharding
-  // layer's own overhead (range-restricted live lists, redundant good
-  // passes per shard, the fold) against one unsharded pass.
-  const circuit::Circuit c = circuit::make_array_multiplier(16);
-  const fault::FaultList faults = fault::FaultList::full_universe(c);
-  const sim::PatternSet patterns =
-      tpg::lfsr_patterns(c.pattern_inputs().size(), 4096, 1981);
-  const auto shards = static_cast<std::size_t>(state.range(0));
-  for (auto _ : state) {
-    fault::ShardedOptions options;
-    options.shards = shards;
-    const fault::FaultSimResult r =
-        simulate_sharded(faults, patterns, nullptr, options);
-    benchmark::DoNotOptimize(r.coverage);
-  }
-  state.SetLabel("mult16 x 4096 patterns, " + std::to_string(shards) +
-                 " shards");
-}
-BENCHMARK(BM_GradeSharded)->Arg(1)->Arg(2)->Arg(7)
+BENCHMARK(BM_FaultSim_GradeProgressive)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond)->MinTime(0.25);
 
 void BM_Podem_PerFault(benchmark::State& state) {

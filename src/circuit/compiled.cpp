@@ -158,7 +158,45 @@ void CompiledCircuit::build_program() {
 
 void CompiledCircuit::eval_suffix(std::size_t from_level,
                                   std::uint64_t* values, GateId skip) const {
-  eval_suffix_t<std::uint64_t>(from_level, values, skip);
+  const std::size_t run_count = runs_.size();
+  const EvalStep* steps = steps_.data();
+  std::size_t r =
+      from_level > depth_ ? run_count : run_level_begin_[from_level];
+
+// One tight loop per run kind; the `skip` test is a never-taken branch for
+// every gate but an injected fault site.
+#define LSIQ_RUN_LOOP(expr)                                   \
+  for (std::uint32_t s = run.begin; s < run.end; ++s) {       \
+    const EvalStep& step = steps[s];                          \
+    if (step.dest == skip) continue;                          \
+    values[step.dest] = (expr);                               \
+  }                                                           \
+  break;
+
+  for (; r < run_count; ++r) {
+    const EvalRun& run = runs_[r];
+    switch (run.kind) {
+      case RunKind::kAnd2:
+        LSIQ_RUN_LOOP(values[step.a] & values[step.b])
+      case RunKind::kNand2:
+        LSIQ_RUN_LOOP(~(values[step.a] & values[step.b]))
+      case RunKind::kOr2:
+        LSIQ_RUN_LOOP(values[step.a] | values[step.b])
+      case RunKind::kNor2:
+        LSIQ_RUN_LOOP(~(values[step.a] | values[step.b]))
+      case RunKind::kXor2:
+        LSIQ_RUN_LOOP(values[step.a] ^ values[step.b])
+      case RunKind::kXnor2:
+        LSIQ_RUN_LOOP(~(values[step.a] ^ values[step.b]))
+      case RunKind::kBuf1:
+        LSIQ_RUN_LOOP(values[step.a])
+      case RunKind::kNot1:
+        LSIQ_RUN_LOOP(~values[step.a])
+      case RunKind::kGeneric:
+        LSIQ_RUN_LOOP(eval_word(step.dest, values))
+    }
+  }
+#undef LSIQ_RUN_LOOP
 }
 
 }  // namespace lsiq::circuit

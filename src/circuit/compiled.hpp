@@ -127,45 +127,40 @@ class CompiledCircuit {
   [[nodiscard]] const Circuit& source() const noexcept { return *source_; }
 
   // ---- word-parallel gate evaluation over the flat arrays ----
-  //
-  // The kernels are templates over the word type W so the same program
-  // evaluates classic 64-pattern uint64_t blocks and N x 64-lane
-  // sim::WideWord<N> blocks. W only needs bitwise &,|,^,~ plus
-  // value-initialization to all-zeros (`W{}`); all-ones is `~W{}`.
 
   /// Evaluate gate `id` over the dense per-gate word array `values`.
   /// Not valid for kInput/kDff sources.
-  template <typename W>
-  [[nodiscard]] W eval_value(GateId id, const W* values) const {
+  [[nodiscard]] std::uint64_t eval_word(GateId id,
+                                        const std::uint64_t* values) const {
     const std::uint32_t begin = fanin_offset_[id];
     const std::uint32_t end = fanin_offset_[id + 1];
     const GateId* pins = fanin_.data();
     switch (static_cast<GateType>(type_[id])) {
       case GateType::kConst0:
-        return W{};
+        return 0;
       case GateType::kConst1:
-        return ~W{};
+        return ~std::uint64_t{0};
       case GateType::kBuf:
         return values[pins[begin]];
       case GateType::kNot:
         return ~values[pins[begin]];
       case GateType::kAnd:
       case GateType::kNand: {
-        W acc = values[pins[begin]];
+        std::uint64_t acc = values[pins[begin]];
         for (std::uint32_t i = begin + 1; i < end; ++i) acc &= values[pins[i]];
         return type_[id] == static_cast<std::uint8_t>(GateType::kNand) ? ~acc
                                                                        : acc;
       }
       case GateType::kOr:
       case GateType::kNor: {
-        W acc = values[pins[begin]];
+        std::uint64_t acc = values[pins[begin]];
         for (std::uint32_t i = begin + 1; i < end; ++i) acc |= values[pins[i]];
         return type_[id] == static_cast<std::uint8_t>(GateType::kNor) ? ~acc
                                                                       : acc;
       }
       case GateType::kXor:
       case GateType::kXnor: {
-        W acc = values[pins[begin]];
+        std::uint64_t acc = values[pins[begin]];
         for (std::uint32_t i = begin + 1; i < end; ++i) acc ^= values[pins[i]];
         return type_[id] == static_cast<std::uint8_t>(GateType::kXnor) ? ~acc
                                                                        : acc;
@@ -174,14 +169,15 @@ class CompiledCircuit {
       case GateType::kDff:
         break;
     }
-    return W{};  // unreachable for well-formed calls; sources are assigned
+    return 0;  // unreachable for well-formed calls; sources are assigned
   }
 
   /// Same, but the fanin at `pin` reads `forced` instead of its driver
   /// value — word-parallel injection of an input-pin (branch) stuck-at.
-  template <typename W>
-  [[nodiscard]] W eval_value_with_pin(GateId id, const W* values,
-                                      std::int32_t pin, W forced) const {
+  [[nodiscard]] std::uint64_t eval_word_with_pin(GateId id,
+                                                 const std::uint64_t* values,
+                                                 std::int32_t pin,
+                                                 std::uint64_t forced) const {
     const std::uint32_t begin = fanin_offset_[id];
     const std::uint32_t end = fanin_offset_[id + 1];
     const GateId* pins = fanin_.data();
@@ -191,30 +187,30 @@ class CompiledCircuit {
     };
     switch (static_cast<GateType>(type_[id])) {
       case GateType::kConst0:
-        return W{};
+        return 0;
       case GateType::kConst1:
-        return ~W{};
+        return ~std::uint64_t{0};
       case GateType::kBuf:
         return operand(begin);
       case GateType::kNot:
         return ~operand(begin);
       case GateType::kAnd:
       case GateType::kNand: {
-        W acc = operand(begin);
+        std::uint64_t acc = operand(begin);
         for (std::uint32_t i = begin + 1; i < end; ++i) acc &= operand(i);
         return type_[id] == static_cast<std::uint8_t>(GateType::kNand) ? ~acc
                                                                        : acc;
       }
       case GateType::kOr:
       case GateType::kNor: {
-        W acc = operand(begin);
+        std::uint64_t acc = operand(begin);
         for (std::uint32_t i = begin + 1; i < end; ++i) acc |= operand(i);
         return type_[id] == static_cast<std::uint8_t>(GateType::kNor) ? ~acc
                                                                       : acc;
       }
       case GateType::kXor:
       case GateType::kXnor: {
-        W acc = operand(begin);
+        std::uint64_t acc = operand(begin);
         for (std::uint32_t i = begin + 1; i < end; ++i) acc ^= operand(i);
         return type_[id] == static_cast<std::uint8_t>(GateType::kXnor) ? ~acc
                                                                        : acc;
@@ -223,66 +219,7 @@ class CompiledCircuit {
       case GateType::kDff:
         break;
     }
-    return W{};  // unreachable for well-formed calls; sources are assigned
-  }
-
-  [[nodiscard]] std::uint64_t eval_word(GateId id,
-                                        const std::uint64_t* values) const {
-    return eval_value<std::uint64_t>(id, values);
-  }
-
-  [[nodiscard]] std::uint64_t eval_word_with_pin(GateId id,
-                                                 const std::uint64_t* values,
-                                                 std::int32_t pin,
-                                                 std::uint64_t forced) const {
-    return eval_value_with_pin<std::uint64_t>(id, values, pin, forced);
-  }
-
-  /// Width-generic eval_suffix: identical program walk for any word type.
-  /// The narrow eval_suffix() above delegates here (compiled.cpp), so
-  /// there is exactly one copy of the run-dispatch logic.
-  template <typename W>
-  void eval_suffix_t(std::size_t from_level, W* values,
-                     GateId skip = kNoGate) const {
-    const std::size_t run_count = runs_.size();
-    const EvalStep* steps = steps_.data();
-    std::size_t r =
-        from_level > depth_ ? run_count : run_level_begin_[from_level];
-
-// One tight loop per run kind; the `skip` test is a never-taken branch for
-// every gate but an injected fault site.
-#define LSIQ_RUN_LOOP(expr)                                   \
-  for (std::uint32_t s = run.begin; s < run.end; ++s) {       \
-    const EvalStep& step = steps[s];                          \
-    if (step.dest == skip) continue;                          \
-    values[step.dest] = (expr);                               \
-  }                                                           \
-  break;
-
-    for (; r < run_count; ++r) {
-      const EvalRun& run = runs_[r];
-      switch (run.kind) {
-        case RunKind::kAnd2:
-          LSIQ_RUN_LOOP(values[step.a] & values[step.b])
-        case RunKind::kNand2:
-          LSIQ_RUN_LOOP(~(values[step.a] & values[step.b]))
-        case RunKind::kOr2:
-          LSIQ_RUN_LOOP(values[step.a] | values[step.b])
-        case RunKind::kNor2:
-          LSIQ_RUN_LOOP(~(values[step.a] | values[step.b]))
-        case RunKind::kXor2:
-          LSIQ_RUN_LOOP(values[step.a] ^ values[step.b])
-        case RunKind::kXnor2:
-          LSIQ_RUN_LOOP(~(values[step.a] ^ values[step.b]))
-        case RunKind::kBuf1:
-          LSIQ_RUN_LOOP(values[step.a])
-        case RunKind::kNot1:
-          LSIQ_RUN_LOOP(~values[step.a])
-        case RunKind::kGeneric:
-          LSIQ_RUN_LOOP(eval_value(step.dest, values))
-      }
-    }
-#undef LSIQ_RUN_LOOP
+    return 0;  // unreachable for well-formed calls; sources are assigned
   }
 
  private:

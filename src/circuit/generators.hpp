@@ -2,9 +2,10 @@
 //
 // The paper's experiment ran on a ~25,000-transistor production LSI chip we
 // cannot have; these generators provide circuits of controllable size whose
-// fault universes stand in for it (see DESIGN.md, substitution table). They
-// also provide the small, exhaustively-verifiable circuits the test suite
-// checks the simulators against.
+// fault universes stand in for it (the 16-bit array multiplier, mult16, is
+// the stand-in tools/specs/table1.spec grades). They also provide the
+// small, exhaustively-verifiable circuits the test suite checks the
+// simulators against.
 #pragma once
 
 #include <cstdint>

@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
+#include <optional>
 
 #include "sim/parallel_sim.hpp"
-#include "sim/wide_word.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/thread_pool.hpp"
@@ -447,16 +447,12 @@ std::vector<std::uint32_t> sorted_live_list(const FaultList& faults,
 
 /// True when class `c` sleeps through a block that ends at pattern
 /// `block_end`: no point in its cone is strobed before then, so its masked
-/// detect word is 0 by construction. The grading loops leave a sleeping
+/// detect word is 0 by construction. The grading loop leaves a sleeping
 /// class live and ungraded. `wake` is empty under full observation, where
 /// nothing sleeps.
 bool asleep(const std::vector<std::size_t>& wake, std::uint32_t c,
             std::size_t block_end) {
   return !wake.empty() && wake[c] >= block_end;
-}
-
-void finalize_result(const FaultList& faults, FaultSimResult& result) {
-  result.finalize(faults);
 }
 
 }  // namespace
@@ -588,16 +584,8 @@ FaultSimResult simulate_serial(const FaultList& faults,
       }
     }
   }
-  finalize_result(faults, result);
+  result.finalize(faults);
   return result;
-}
-
-std::uint64_t detect_word_for_fault(
-    const Circuit& circuit, const Fault& fault,
-    const std::vector<std::uint64_t>& good_values) {
-  Propagator propagator(circuit);
-  propagator.begin_block(good_values);
-  return propagator.detect_word(fault, good_values);
 }
 
 std::uint64_t detect_word_for_fault(
@@ -609,26 +597,36 @@ std::uint64_t detect_word_for_fault(
   return propagator.detect_word(fault, good_values, point_masks);
 }
 
-namespace {
-
-/// The classic 64-lane PPSFP engine over one class range — the exact
-/// inner loops simulate_ppsfp / simulate_ppsfp_mt have always run, with
-/// the live list restricted to [class_begin, class_end) and detections
-/// written straight into the caller's first_detection vector.
-void grade_range_narrow(
+void grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
-    const StrobeSchedule* schedule, const std::vector<std::size_t>& wake,
-    const std::shared_ptr<const CompiledCircuit>& compiled, bool use_pool,
+    const StrobeSchedule* schedule,
+    const std::shared_ptr<const CompiledCircuit>& compiled,
     std::size_t num_threads, std::size_t class_begin, std::size_t class_end,
     std::vector<std::int64_t>& first_detection) {
+  LSIQ_EXPECT(compiled != nullptr,
+              "grade_class_range: compiled view required");
   const Circuit& circuit = faults.circuit();
+  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
+              "grade_class_range: compiled view does not match the circuit");
+  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
+              "grade_class_range: pattern width does not match circuit");
+  LSIQ_EXPECT(class_begin <= class_end && class_end <= faults.class_count(),
+              "grade_class_range: class range out of bounds");
+  LSIQ_EXPECT(first_detection.size() == faults.class_count(),
+              "grade_class_range: first_detection must cover every class");
   ScheduleMasks strobe_masks(circuit, schedule);
+  // Once per grade, and only when some point starts late: under full
+  // observation every class is awake from pattern 0.
+  std::vector<std::size_t> wake;
+  if (schedule != nullptr && !schedule->is_full()) {
+    wake = wake_patterns(faults, *compiled, *schedule);
+  }
   sim::ParallelSimulator good_sim(compiled);
   const bool transition =
       faults.model() == fault_model::FaultModel::kTransition;
-  // One launch window, advanced on the coordinating thread between blocks
-  // and read-only inside a block, so the gating each lane applies is a
-  // pure function of the block index — thread-count independence holds.
+  // One launch window, advanced on the calling thread between blocks and
+  // read-only inside a block, so the gating each lane applies is a pure
+  // function of the block index — thread-count independence holds.
   fault_model::TwoPatternWindow window(
       transition ? compiled->node_count() : 0);
 
@@ -636,67 +634,26 @@ void grade_range_narrow(
   std::vector<std::uint32_t> live =
       sorted_live_list(faults, *compiled, class_begin, class_end);
 
-  if (!use_pool) {
-    Propagator propagator(compiled);
-    for (std::size_t b = 0; b < patterns.block_count() && !live.empty();
-         ++b) {
-      // Cooperative watchdog checkpoint, once per 64-pattern block (free
-      // when no deadline is active).
-      util::poll_deadline();
-      good_sim.simulate_block(patterns.block_words(b));
-      const std::vector<std::uint64_t>& good = good_sim.values();
-      const std::uint64_t mask = patterns.block_mask(b);
-      const std::vector<std::uint64_t>* point_masks =
-          strobe_masks.for_block(b);
-      const std::size_t block_end = (b + 1) * 64;
-
-      propagator.begin_block(good);
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        const std::uint32_t c = live[i];
-        if (asleep(wake, c, block_end)) {
-          live[kept++] = c;
-          continue;
-        }
-        const Fault& rep = faults.representatives()[c];
-        const std::uint64_t detect =
-            (transition
-                 ? propagator.detect_word_transition(rep, good, window,
-                                                     point_masks)
-                 : propagator.detect_word_resim(rep, good, point_masks)) &
-            mask;
-        if (detect != 0) {
-          first_detection[c] =
-              static_cast<std::int64_t>(b * 64 + std::countr_zero(detect));
-        } else {
-          live[kept++] = c;  // still undetected: keep simulating it
-        }
-      }
-      live.resize(kept);
-      if (transition) window.advance(good);
-    }
-    return;
-  }
-
-  util::ThreadPool pool(num_threads);
-  const std::size_t lanes = pool.size();
+  // Each lane owns a Propagator and takes a strided slice of the live
+  // list — still non-increasing in site level (the resim fast path), and
+  // far better balanced than contiguous chunks, whose per-fault sweep
+  // cost varies with site level. Detect words land in one slot per live
+  // entry and are folded into first_detection serially, so the result
+  // bytes do not depend on the lane count or thread interleaving. One
+  // lane runs inline on the calling thread; more run on a pool.
+  const std::size_t lanes = util::resolve_worker_count(num_threads);
   std::vector<Propagator> propagators;
   propagators.reserve(lanes);
   for (std::size_t t = 0; t < lanes; ++t) {
     propagators.emplace_back(compiled);
   }
-
-  // Each lane takes a strided slice of the live list — still
-  // non-increasing in site level (the resim fast path), and far better
-  // balanced than contiguous chunks, whose per-fault sweep cost varies
-  // with site level. Detect words are written per live-list slot and
-  // folded into first_detection serially — the result bytes are
-  // independent of thread interleaving by construction.
+  std::optional<util::ThreadPool> pool;
+  if (lanes > 1) pool.emplace(lanes);
   std::vector<std::uint64_t> detects(live.size(), 0);
 
   for (std::size_t b = 0; b < patterns.block_count() && !live.empty(); ++b) {
-    // Watchdog checkpoint on the coordinating thread: lanes only run
-    // inside pool.run, so polling here bounds the whole block.
+    // Cooperative watchdog checkpoint on the calling thread, once per
+    // 64-pattern block (free when no deadline is active).
     util::poll_deadline();
     good_sim.simulate_block(patterns.block_words(b));
     const std::vector<std::uint64_t>& good = good_sim.values();
@@ -705,7 +662,7 @@ void grade_range_narrow(
     const std::size_t block_end = (b + 1) * 64;
 
     const std::size_t live_count = live.size();
-    pool.run([&](std::size_t lane) {
+    const auto grade_lane = [&](std::size_t lane) {
       if (lane >= live_count) return;
       Propagator& propagator = propagators[lane];
       propagator.begin_block(good);
@@ -722,7 +679,12 @@ void grade_range_narrow(
                  : propagator.detect_word_resim(rep, good, point_masks)) &
             mask;
       }
-    });
+    };
+    if (pool.has_value()) {
+      pool->run(grade_lane);
+    } else {
+      grade_lane(0);
+    }
 
     // Per-block fault-drop compaction, in live-list order.
     std::size_t kept = 0;
@@ -739,450 +701,43 @@ void grade_range_narrow(
   }
 }
 
-// ---- wide kernel ----
-//
-// The N x 64-lane mirror of Propagator's suffix-resimulation path: the
-// same site resolution, the same levelized suffix sweep (through the
-// width-generic CompiledCircuit::eval_suffix_t), the same observation OR
-// — every scalar uint64_t op becomes a WideWord<N> op. detect words per
-// fault per pattern are bit-identical to the narrow kernel's because the
-// whole computation is bitwise and per-lane independent.
+namespace {
 
-template <std::size_t N>
-class WidePropagator {
- public:
-  using Word = sim::WideWord<N>;
-
-  explicit WidePropagator(std::shared_ptr<const CompiledCircuit> compiled)
-      : compiled_(require_compiled(std::move(compiled), "WidePropagator")),
-        work_(compiled_->node_count(), Word{}) {}
-
-  void begin_block(const Word* good) {
-    std::copy(good, good + compiled_->node_count(), work_.begin());
-    dirty_level_ = compiled_->depth() + 1;
+/// Whole-range grade behind simulate_ppsfp and simulate_ppsfp_mt. One
+/// compiled view serves the good-machine simulator and every propagator;
+/// a caller-supplied view skips recompilation entirely.
+FaultSimResult grade_all(const FaultList& faults,
+                         const sim::PatternSet& patterns,
+                         const StrobeSchedule* schedule,
+                         std::shared_ptr<const CompiledCircuit> compiled,
+                         std::size_t num_threads) {
+  if (compiled == nullptr) {
+    compiled = std::make_shared<const CompiledCircuit>(faults.circuit());
   }
-
-  Word detect_word_resim(const Fault& fault, const Word* good,
-                         const Word* point_masks) {
-    const CompiledCircuit& c = *compiled_;
-    Word resolved{};
-    Word faulty_site{};
-    if (resolve_site(fault, good, point_masks, &resolved, &faulty_site)) {
-      return resolved;
-    }
-
-    const GateId site = fault.gate;
-    const std::size_t site_level = c.level(site);
-    const std::size_t start_level = std::min(site_level, dirty_level_);
-    Word* work = work_.data();
-    work[site] = faulty_site;
-    c.eval_suffix_t<Word>(start_level, work, site);
-    dirty_level_ = site_level;
-    const bool site_is_source =
-        c.type(site) == GateType::kInput || c.type(site) == GateType::kDff;
-
-    Word detect{};
-    const auto& points = c.observed_points();
-    if (point_masks == nullptr) {
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        detect |= work[points[i]] ^ good[points[i]];
-      }
-    } else {
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        detect |= (work[points[i]] ^ good[points[i]]) & point_masks[i];
-      }
-    }
-    if (site_is_source) {
-      work[site] = good[site];
-    }
-    return detect;
-  }
-
-  Word detect_word_transition(
-      const Fault& fault, const Word* good,
-      const fault_model::WideTwoPatternWindow<N>& window,
-      const Word* point_masks) {
-    const Word launch = window.launch_mask(fault_line(*compiled_, fault),
-                                           fault.stuck_at_one, good);
-    if (!launch.any()) return Word{};  // no lane launched
-    return detect_word_resim(fault, good, point_masks) & launch;
-  }
-
- private:
-  bool resolve_site(const Fault& fault, const Word* good,
-                    const Word* point_masks, Word* result,
-                    Word* faulty_site) const {
-    const CompiledCircuit& c = *compiled_;
-    const Word sv_word = fault.stuck_at_one ? Word::ones() : Word::zeros();
-
-    if (!is_stem(fault) && c.type(fault.gate) == GateType::kDff) {
-      const Word diff = sv_word ^ good[c.fanin(fault.gate)[0]];
-      if (point_masks == nullptr) {
-        *result = diff;
-      } else {
-        const std::uint32_t point = c.point_index(fault.gate);
-        LSIQ_EXPECT(point != CompiledCircuit::kNoPoint,
-                    "resolve_site: DFF gate has no scan-capture point");
-        *result = diff & point_masks[point];
-      }
-      return true;
-    }
-
-    if (is_stem(fault)) {
-      *faulty_site = sv_word;
-    } else {
-      LSIQ_EXPECT(fault.pin >= 0 && static_cast<std::size_t>(fault.pin) <
-                                        c.fanin_count(fault.gate),
-                  "resolve_site: fault pin out of range");
-      *faulty_site = c.eval_value_with_pin<Word>(fault.gate, good, fault.pin,
-                                                 sv_word);
-    }
-    if (!(*faulty_site ^ good[fault.gate]).any()) {
-      *result = Word{};  // effect never appears at the site in this block
-      return true;
-    }
-    return false;
-  }
-
-  std::shared_ptr<const CompiledCircuit> compiled_;
-  std::vector<Word> work_;
-  std::size_t dirty_level_ = 0;
-};
-
-/// First detected pattern index inside wide block `wide_block`, given a
-/// nonzero wide detect word.
-template <std::size_t N>
-std::int64_t first_wide_detection(std::size_t wide_block,
-                                  const sim::WideWord<N>& detect) {
-  for (std::size_t j = 0; j < N; ++j) {
-    if (detect.w[j] != 0) {
-      return static_cast<std::int64_t>((wide_block * N + j) * 64 +
-                                       std::countr_zero(detect.w[j]));
-    }
-  }
-  return -1;
-}
-
-/// The wide engine over one class range: per wide block of N*64 patterns,
-/// one width-generic good-machine pass, then per live fault one wide
-/// detect word. Structure mirrors grade_range_narrow exactly; fault drop
-/// happens per wide block, which cannot change first_detection because
-/// detect words are pure per-pattern functions.
-template <std::size_t N>
-void grade_range_wide(
-    const FaultList& faults, const sim::PatternSet& patterns,
-    const StrobeSchedule* schedule, const std::vector<std::size_t>& wake,
-    const std::shared_ptr<const CompiledCircuit>& compiled, bool use_pool,
-    std::size_t num_threads, std::size_t class_begin, std::size_t class_end,
-    std::vector<std::int64_t>& first_detection) {
-  using Word = sim::WideWord<N>;
-  const CompiledCircuit& c = *compiled;
-  const auto& inputs = c.pattern_inputs();
-  const auto& points = c.observed_points();
-  const bool transition =
-      faults.model() == fault_model::FaultModel::kTransition;
-  const std::size_t narrow_blocks = patterns.block_count();
-  const std::size_t wide_blocks = (narrow_blocks + N - 1) / N;
-
-  if (schedule != nullptr) {
-    LSIQ_EXPECT(schedule->point_count() == points.size(),
-                "strobe schedule must cover every observed point");
-  }
-  const StrobeSchedule* strobes =
-      (schedule != nullptr && !schedule->is_full()) ? schedule : nullptr;
-
-  std::vector<Word> good(c.node_count(), Word{});
-  std::vector<Word> point_mask_words(strobes != nullptr ? points.size() : 0);
-  fault_model::WideTwoPatternWindow<N> window(
-      transition ? c.node_count() : 0);
-
-  std::vector<std::uint32_t> live =
-      sorted_live_list(faults, c, class_begin, class_end);
-  std::vector<Word> detects(live.size(), Word{});
-
-  // Lazily constructed so the single-threaded path spawns no pool.
-  std::unique_ptr<util::ThreadPool> pool;
-  std::vector<WidePropagator<N>> propagators;
-  std::size_t lanes = 1;
-  if (use_pool) {
-    pool = std::make_unique<util::ThreadPool>(num_threads);
-    lanes = pool->size();
-  }
-  propagators.reserve(lanes);
-  for (std::size_t t = 0; t < lanes; ++t) {
-    propagators.emplace_back(compiled);
-  }
-
-  // --- narrow warm-up over the first wide block ---
-  //
-  // Grading from pattern 0 at full width is a pessimization: the bulk of
-  // a random program's detections land in the first few 64-pattern
-  // blocks, and a fault detected there costs an N-word sweep wide but a
-  // one-word sweep narrow. So the first wide block's worth of patterns
-  // runs through the classic narrow kernel — identical detect words,
-  // identical first_detection — and the wide loop below starts at wide
-  // block 1 with only the harder faults still live.
-  {
-    const std::size_t warm_blocks = std::min<std::size_t>(narrow_blocks, N);
-    ScheduleMasks strobe_masks(faults.circuit(), schedule);
-    sim::ParallelSimulator good_sim(compiled);
-    fault_model::TwoPatternWindow narrow_window(
-        transition ? c.node_count() : 0);
-    std::vector<Propagator> narrow_propagators;
-    narrow_propagators.reserve(lanes);
-    for (std::size_t t = 0; t < lanes; ++t) {
-      narrow_propagators.emplace_back(compiled);
-    }
-    std::vector<std::uint64_t> narrow_detects(live.size(), 0);
-
-    for (std::size_t b = 0; b < warm_blocks && !live.empty(); ++b) {
-      util::poll_deadline();
-      good_sim.simulate_block(patterns.block_words(b));
-      const std::vector<std::uint64_t>& good = good_sim.values();
-      const std::uint64_t mask = patterns.block_mask(b);
-      const std::vector<std::uint64_t>* narrow_point_masks =
-          strobe_masks.for_block(b);
-      const std::size_t block_end = (b + 1) * 64;
-
-      const std::size_t live_count = live.size();
-      if (pool == nullptr) {
-        Propagator& propagator = narrow_propagators[0];
-        propagator.begin_block(good);
-        for (std::size_t i = 0; i < live_count; ++i) {
-          if (asleep(wake, live[i], block_end)) {
-            narrow_detects[i] = 0;
-            continue;
-          }
-          const Fault& rep = faults.representatives()[live[i]];
-          narrow_detects[i] =
-              (transition ? propagator.detect_word_transition(
-                                rep, good, narrow_window, narrow_point_masks)
-                          : propagator.detect_word_resim(
-                                rep, good, narrow_point_masks)) &
-              mask;
-        }
-      } else {
-        pool->run([&](std::size_t lane) {
-          if (lane >= live_count) return;
-          Propagator& propagator = narrow_propagators[lane];
-          propagator.begin_block(good);
-          for (std::size_t i = lane; i < live_count; i += lanes) {
-            if (asleep(wake, live[i], block_end)) {
-              narrow_detects[i] = 0;
-              continue;
-            }
-            const Fault& rep = faults.representatives()[live[i]];
-            narrow_detects[i] =
-                (transition
-                     ? propagator.detect_word_transition(
-                           rep, good, narrow_window, narrow_point_masks)
-                     : propagator.detect_word_resim(rep, good,
-                                                    narrow_point_masks)) &
-                mask;
-          }
-        });
-      }
-
-      std::size_t kept = 0;
-      for (std::size_t i = 0; i < live_count; ++i) {
-        if (narrow_detects[i] != 0) {
-          first_detection[live[i]] = static_cast<std::int64_t>(
-              b * 64 + std::countr_zero(narrow_detects[i]));
-        } else {
-          live[kept++] = live[i];
-        }
-      }
-      live.resize(kept);
-      if (transition) narrow_window.advance(good);
-    }
-
-    // Hand the launch carry across the narrow/wide seam: lane 0 of wide
-    // block 1 launches against the last pattern the warm-up graded.
-    if (transition && !live.empty()) {
-      window.seed_from_narrow(good_sim.values());
-    }
-  }
-
-  for (std::size_t wb = 1; wb < wide_blocks && !live.empty(); ++wb) {
-    util::poll_deadline();
-
-    // Wide good-machine pass over narrow blocks [wb*N, wb*N + N). Blocks
-    // past the end of the program read all-zero inputs; every lane they
-    // produce is masked out below, so the values never matter.
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-      Word w{};
-      for (std::size_t j = 0; j < N; ++j) {
-        const std::size_t b = wb * N + j;
-        w.w[j] = b < narrow_blocks ? patterns.block_word(i, b) : 0;
-      }
-      good[inputs[i]] = w;
-    }
-    c.eval_suffix_t<Word>(0, good.data());
-
-    Word mask{};
-    for (std::size_t j = 0; j < N; ++j) {
-      const std::size_t b = wb * N + j;
-      mask.w[j] = b < narrow_blocks ? patterns.block_mask(b) : 0;
-    }
-    const Word* point_masks = nullptr;
-    if (strobes != nullptr) {
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        Word w{};
-        for (std::size_t j = 0; j < N; ++j) {
-          const std::size_t b = wb * N + j;
-          w.w[j] = b < narrow_blocks ? strobes->lane_mask(i, b) : 0;
-        }
-        point_mask_words[i] = w;
-      }
-      point_masks = point_mask_words.data();
-    }
-    const std::size_t block_end = (wb + 1) * N * 64;
-
-    const std::size_t live_count = live.size();
-    if (pool == nullptr) {
-      WidePropagator<N>& propagator = propagators[0];
-      propagator.begin_block(good.data());
-      for (std::size_t i = 0; i < live_count; ++i) {
-        if (asleep(wake, live[i], block_end)) {
-          detects[i] = Word{};
-          continue;
-        }
-        const Fault& rep = faults.representatives()[live[i]];
-        detects[i] =
-            (transition
-                 ? propagator.detect_word_transition(rep, good.data(),
-                                                     window, point_masks)
-                 : propagator.detect_word_resim(rep, good.data(),
-                                                point_masks)) &
-            mask;
-      }
-    } else {
-      pool->run([&](std::size_t lane) {
-        if (lane >= live_count) return;
-        WidePropagator<N>& propagator = propagators[lane];
-        propagator.begin_block(good.data());
-        for (std::size_t i = lane; i < live_count; i += lanes) {
-          if (asleep(wake, live[i], block_end)) {
-            detects[i] = Word{};
-            continue;
-          }
-          const Fault& rep = faults.representatives()[live[i]];
-          detects[i] =
-              (transition
-                   ? propagator.detect_word_transition(rep, good.data(),
-                                                       window, point_masks)
-                   : propagator.detect_word_resim(rep, good.data(),
-                                                  point_masks)) &
-              mask;
-        }
-      });
-    }
-
-    // Per-wide-block fault-drop compaction, in live-list order.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < live_count; ++i) {
-      if (detects[i].any()) {
-        first_detection[live[i]] = first_wide_detection<N>(wb, detects[i]);
-      } else {
-        live[kept++] = live[i];
-      }
-    }
-    live.resize(kept);
-    if (transition) window.advance(good.data());
-  }
+  FaultSimResult result;
+  result.first_detection.assign(faults.class_count(), -1);
+  grade_class_range(faults, patterns, schedule, compiled, num_threads, 0,
+                    faults.class_count(), result.first_detection);
+  result.finalize(faults);
+  return result;
 }
 
 }  // namespace
-
-void grade_class_range(
-    const FaultList& faults, const sim::PatternSet& patterns,
-    const StrobeSchedule* schedule,
-    const std::shared_ptr<const CompiledCircuit>& compiled,
-    std::size_t width, bool use_pool, std::size_t num_threads,
-    std::size_t class_begin, std::size_t class_end,
-    std::vector<std::int64_t>& first_detection) {
-  LSIQ_EXPECT(compiled != nullptr,
-              "grade_class_range: compiled view required");
-  const Circuit& circuit = faults.circuit();
-  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
-              "grade_class_range: compiled view does not match the circuit");
-  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
-              "grade_class_range: pattern width does not match circuit");
-  LSIQ_EXPECT(class_begin <= class_end && class_end <= faults.class_count(),
-              "grade_class_range: class range out of bounds");
-  LSIQ_EXPECT(first_detection.size() == faults.class_count(),
-              "grade_class_range: first_detection must cover every class");
-  // Once per grade, and only when some point starts late: under full
-  // observation every class is awake from pattern 0.
-  std::vector<std::size_t> wake;
-  if (schedule != nullptr && !schedule->is_full()) {
-    wake = wake_patterns(faults, *compiled, *schedule);
-  }
-  switch (width) {
-    case 1:
-      grade_range_narrow(faults, patterns, schedule, wake, compiled,
-                         use_pool, num_threads, class_begin, class_end,
-                         first_detection);
-      return;
-    case 4:
-      grade_range_wide<4>(faults, patterns, schedule, wake, compiled,
-                          use_pool, num_threads, class_begin, class_end,
-                          first_detection);
-      return;
-    case 8:
-      grade_range_wide<8>(faults, patterns, schedule, wake, compiled,
-                          use_pool, num_threads, class_begin, class_end,
-                          first_detection);
-      return;
-    default:
-      throw ContractViolation("grade_class_range: width must be 1, 4, or 8");
-  }
-}
 
 FaultSimResult simulate_ppsfp(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
     std::shared_ptr<const CompiledCircuit> compiled, std::size_t width) {
-  const Circuit& circuit = faults.circuit();
-  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
-              "simulate_ppsfp: pattern width does not match circuit");
-  // One compiled view shared by the good-machine simulator and the
-  // propagator; a caller-supplied view skips recompilation entirely.
-  if (compiled == nullptr) {
-    compiled = std::make_shared<const CompiledCircuit>(circuit);
-  }
-  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
-              "simulate_ppsfp: compiled view does not match the circuit");
-
-  FaultSimResult result;
-  result.first_detection.assign(faults.class_count(), -1);
-  grade_class_range(faults, patterns, schedule, compiled, width,
-                    /*use_pool=*/false, 1, 0, faults.class_count(),
-                    result.first_detection);
-  finalize_result(faults, result);
-  return result;
+  LSIQ_EXPECT(width == 1, "simulate_ppsfp: width must be 1");
+  return grade_all(faults, patterns, schedule, std::move(compiled), 1);
 }
 
 FaultSimResult simulate_ppsfp_mt(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule, std::size_t num_threads,
-    std::shared_ptr<const CompiledCircuit> compiled, std::size_t width) {
-  const Circuit& circuit = faults.circuit();
-  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
-              "simulate_ppsfp_mt: pattern width does not match circuit");
-  if (compiled == nullptr) {
-    compiled = std::make_shared<const CompiledCircuit>(circuit);
-  }
-  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
-              "simulate_ppsfp_mt: compiled view does not match the circuit");
-
-  FaultSimResult result;
-  result.first_detection.assign(faults.class_count(), -1);
-  grade_class_range(faults, patterns, schedule, compiled, width,
-                    /*use_pool=*/true, num_threads, 0, faults.class_count(),
-                    result.first_detection);
-  finalize_result(faults, result);
-  return result;
+    std::shared_ptr<const CompiledCircuit> compiled) {
+  return grade_all(faults, patterns, schedule, std::move(compiled),
+                   num_threads);
 }
 
 }  // namespace lsiq::fault

@@ -34,8 +34,8 @@
 // for the virtual tester's first-failing-pattern experiment (Table 1).
 //
 // Strobe-aware grading. Under a strobe schedule that is not full (the
-// paper's progressive per-pin bring-up), every PPSFP-family engine skips
-// a class in each block that ends before the class's wake pattern: the
+// paper's progressive per-pin bring-up), both PPSFP engines skip a
+// class in each block that ends before the class's wake pattern: the
 // first pattern at which any observed point in its fanout cone is
 // strobed (wake_patterns). In such a block no point the fault can reach
 // is compared, so the masked detect word is 0 by construction; the class
@@ -81,8 +81,8 @@ struct FaultSimResult {
                                     std::size_t pattern_count) const;
 
   /// Recompute covered_faults / detected_classes / coverage from
-  /// first_detection. Every engine calls this last; the sharded engine's
-  /// fold step calls it after scattering the per-shard vectors.
+  /// first_detection. Every engine calls this last, as does a caller that
+  /// fills first_detection range by range through grade_class_range.
   void finalize(const FaultList& faults);
 };
 
@@ -212,10 +212,9 @@ FaultSimResult simulate_serial(const FaultList& faults,
 /// `compiled`, when non-null, must be a compiled view of faults.circuit()
 /// and is used instead of recompiling — the batch runner's per-(circuit,
 /// model) artifact cache passes it so N specs over one circuit compile
-/// once. `width` in {1, 4, 8} selects the grading word: width w grades
-/// w*64 patterns per good-machine pass through the sim::WideWord kernel
-/// (width 1 is the classic uint64_t path). Results are bit-identical for
-/// every width and with or without a caller-supplied compiled view.
+/// once. Results are bit-identical with or without a caller-supplied
+/// compiled view. `width` is the 64-pattern grading word count; only 1
+/// is accepted (ContractViolation otherwise).
 FaultSimResult simulate_ppsfp(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule = nullptr,
@@ -226,33 +225,30 @@ FaultSimResult simulate_ppsfp(
 /// across `num_threads` workers (resolved by util::resolve_worker_count;
 /// 0 = one per hardware thread), each with its own Propagator; fault
 /// dropping compacts the list after every block. Bit-identical to
-/// simulate_ppsfp and simulate_serial. `compiled` and `width` as in
-/// simulate_ppsfp.
+/// simulate_ppsfp and simulate_serial. `compiled` as in simulate_ppsfp.
 FaultSimResult simulate_ppsfp_mt(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule = nullptr, std::size_t num_threads = 0,
-    std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr,
-    std::size_t width = 1);
+    std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr);
 
-/// The PPSFP-family grading core, exposed for the sharding layer
-/// (fault/shard.hpp): grade collapsed classes [class_begin, class_end) of
-/// `faults` over the whole pattern set and write each graded class's
-/// first-detection index (or -1) into `first_detection`, which must
-/// already be sized faults.class_count(); entries outside the range are
-/// not touched. `compiled` must be a non-null view of faults.circuit().
-/// `width` in {1, 4, 8}. With `use_pool` false the range grades on the
-/// calling thread; true fans it out over resolve_worker_count(num_threads)
-/// lanes. The bits written are identical for every width / thread / range
-/// split — per-class detect words are pure functions of the patterns.
-/// Every PPSFP-family engine grades through here, so this is where the
-/// wake vector of a non-full schedule is built and every grading loop
-/// skips sleeping classes (see the header comment).
+/// The PPSFP grading core behind simulate_ppsfp (one lane) and
+/// simulate_ppsfp_mt: grade collapsed classes [class_begin, class_end) of
+/// `faults` over the whole pattern set and write the first-detection
+/// index of each class in the range that the program detects into
+/// `first_detection`, which must already be sized faults.class_count()
+/// and hold -1 for every class not yet graded; no other entry is touched.
+/// `compiled` must be a non-null view of faults.circuit().
+/// The range grades on util::resolve_worker_count(num_threads) lanes: one
+/// lane runs on the calling thread, more on a worker pool. The bits
+/// written are identical for every lane count and every range split —
+/// per-class detect words are pure functions of the patterns. This is
+/// where the wake vector of a non-full schedule is built and sleeping
+/// classes are skipped (see the header comment).
 void grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
     const std::shared_ptr<const circuit::CompiledCircuit>& compiled,
-    std::size_t width, bool use_pool, std::size_t num_threads,
-    std::size_t class_begin, std::size_t class_end,
+    std::size_t num_threads, std::size_t class_begin, std::size_t class_end,
     std::vector<std::int64_t>& first_detection);
 
 /// wake_patterns() entry of a class whose cone reaches no observed point.
@@ -273,22 +269,15 @@ std::vector<std::size_t> wake_patterns(const FaultList& faults,
                                            compiled,
                                        const StrobeSchedule& schedule);
 
-/// Detection words for one fault over one simulated block: bit p is set
-/// when pattern p of the block detects the fault. Convenience wrappers
-/// that build a throwaway Propagator (three O(gate_count) allocations per
-/// call) — grading loops should hold a Propagator instead.
-std::uint64_t detect_word_for_fault(const circuit::Circuit& circuit,
-                                    const Fault& fault,
-                                    const std::vector<std::uint64_t>&
-                                        good_values);
-
-/// Strobe-aware variant: `point_masks` gives, per observed point, the
-/// lanes in which that point is strobed for this block (null = all).
-std::uint64_t detect_word_for_fault(const circuit::Circuit& circuit,
-                                    const Fault& fault,
-                                    const std::vector<std::uint64_t>&
-                                        good_values,
-                                    const std::vector<std::uint64_t>*
-                                        point_masks);
+/// Detection word for one fault over one simulated block: bit p is set
+/// when pattern p of the block detects the fault. `point_masks` gives,
+/// per observed point, the lanes in which that point is strobed for this
+/// block (null = all). A convenience wrapper that builds a throwaway
+/// Propagator (three O(gate_count) allocations per call) — grading loops
+/// should hold a Propagator instead.
+std::uint64_t detect_word_for_fault(
+    const circuit::Circuit& circuit, const Fault& fault,
+    const std::vector<std::uint64_t>& good_values,
+    const std::vector<std::uint64_t>* point_masks = nullptr);
 
 }  // namespace lsiq::fault

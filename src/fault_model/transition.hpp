@@ -31,7 +31,6 @@
 #include <vector>
 
 #include "circuit/netlist.hpp"
-#include "sim/wide_word.hpp"
 
 namespace lsiq::fault_model {
 
@@ -76,64 +75,6 @@ class TwoPatternWindow {
  private:
   std::vector<std::uint64_t> carry_;  ///< 0 or 1 per gate: last lane's value
   std::uint64_t valid_ = ~1ULL;       ///< all-ones once a block has passed
-};
-
-/// TwoPatternWindow over N x 64-lane wide blocks (the width-generic
-/// grading kernel). Same rolling-launch semantics: within a wide block the
-/// previous-pattern word shifts across sub-word boundaries (lane 63 of
-/// sub-word j-1 launches lane 0 of sub-word j), and each gate's final lane
-/// carries into the next wide block. Bit-identical per pattern to the
-/// narrow window walking the same program N sub-blocks at a time.
-template <std::size_t N>
-class WideTwoPatternWindow {
- public:
-  explicit WideTwoPatternWindow(std::size_t node_count)
-      : carry_(node_count, 0), valid_(sim::WideWord<N>::ones()) {
-    valid_.w[0] = ~1ULL;  // the program's first pattern has no launch
-  }
-
-  /// See TwoPatternWindow::previous_word; `good` is the wide good-machine
-  /// value array of the current wide block.
-  [[nodiscard]] sim::WideWord<N> previous_word(
-      circuit::GateId line, const sim::WideWord<N>* good) const {
-    const sim::WideWord<N>& g = good[line];
-    sim::WideWord<N> previous;
-    previous.w[0] = (g.w[0] << 1) | carry_[line];
-    for (std::size_t j = 1; j < N; ++j) {
-      previous.w[j] = (g.w[j] << 1) | (g.w[j - 1] >> 63);
-    }
-    return previous;
-  }
-
-  [[nodiscard]] sim::WideWord<N> launch_mask(
-      circuit::GateId line, bool slow_to_fall,
-      const sim::WideWord<N>* good) const {
-    const sim::WideWord<N> previous = previous_word(line, good);
-    return (slow_to_fall ? previous : ~previous) & valid_;
-  }
-
-  /// Record the current wide block before moving to the next.
-  void advance(const sim::WideWord<N>* good) {
-    for (std::size_t g = 0; g < carry_.size(); ++g) {
-      carry_[g] = good[g].w[N - 1] >> 63;
-    }
-    valid_ = sim::WideWord<N>::ones();
-  }
-
-  /// Seed the carry from a NARROW good-value block (the last 64-pattern
-  /// block a narrow warm-up pass graded) so a wide window can take over
-  /// mid-program: lane 0 of the next wide block launches against lane 63
-  /// of that block, and every lane is valid.
-  void seed_from_narrow(const std::vector<std::uint64_t>& good) {
-    for (std::size_t g = 0; g < carry_.size(); ++g) {
-      carry_[g] = good[g] >> 63;
-    }
-    valid_ = sim::WideWord<N>::ones();
-  }
-
- private:
-  std::vector<std::uint64_t> carry_;  ///< 0 or 1 per gate: last lane's value
-  sim::WideWord<N> valid_;            ///< all-ones once a block has passed
 };
 
 }  // namespace lsiq::fault_model

@@ -9,7 +9,7 @@
 #include "bist/misr.hpp"
 #include "bist/session.hpp"
 #include "core/fault_distribution.hpp"
-#include "fault/shard.hpp"
+#include "fault/fault_sim.hpp"
 #include "fault/strobe.hpp"
 #include "fault_model/universe.hpp"
 #include "sim/pattern_io.hpp"
@@ -27,8 +27,6 @@ namespace {
 /// BistSession's thread count ("serial" is rejected by validate()).
 std::size_t misr_worker_count(const EngineSpec& engine) {
   if (engine.kind == "ppsfp") return 1;
-  // ppsfp_mt and sharded: signature grading has no fault-range shard
-  // loop, so "sharded" maps to its per-shard worker count.
   return engine.num_threads;  // ppsfp_mt: pool resolves 0 = all cores
 }
 
@@ -236,21 +234,12 @@ FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
                                                 strobes);
     } else if (spec.engine.kind == "ppsfp") {
       result.fault_sim = fault::simulate_ppsfp(faults, result.patterns,
-                                               strobes, compiled,
-                                               spec.engine.grade_width);
-    } else if (spec.engine.kind == "sharded") {
-      fault::ShardedOptions options;
-      options.shards = spec.engine.shards;
-      options.width = spec.engine.grade_width;
-      options.num_threads = spec.engine.num_threads;
-      result.fault_sim = fault::simulate_sharded(faults, result.patterns,
-                                                 strobes, options, compiled);
+                                               strobes, compiled);
     } else {
       result.fault_sim = fault::simulate_ppsfp_mt(faults, result.patterns,
                                                   strobes,
                                                   spec.engine.num_threads,
-                                                  compiled,
-                                                  spec.engine.grade_width);
+                                                  compiled);
     }
     result.curve = result.fault_sim->curve(faults, pattern_count);
   }
@@ -331,14 +320,6 @@ std::string FlowResult::report() const {
   if (spec.engine.kind == "ppsfp_mt") {
     out << " (" << util::resolve_worker_count(spec.engine.num_threads)
         << " workers)";
-  } else if (spec.engine.kind == "sharded") {
-    const std::size_t shards = spec.engine.shards != 0
-                                   ? spec.engine.shards
-                                   : util::resolve_worker_count(0);
-    out << " (" << shards << " shards)";
-  }
-  if (spec.engine.grade_width != 1) {
-    out << " width=" << spec.engine.grade_width;
   }
   out << "\n  program: " << patterns.size() << " patterns over "
       << patterns.input_count() << " inputs";

@@ -137,41 +137,23 @@ std::vector<SpecIssue> validate(const FlowSpec& spec) {
 
   // ---- axis 3: engine ----
   const EngineSpec& engine = spec.engine;
-  if (!one_of(engine.kind, {"serial", "ppsfp", "ppsfp_mt", "sharded"})) {
+  if (!one_of(engine.kind, {"serial", "ppsfp", "ppsfp_mt"})) {
     add("engine.kind", "unknown engine '" + engine.kind +
-                           "' (expected serial, ppsfp, ppsfp_mt, or "
-                           "sharded)");
+                           "' (expected serial, ppsfp, or ppsfp_mt)");
   } else {
     if (engine.kind == "serial" && misr) {
       add("engine.kind",
-          "the serial engine has no signature-grading mode; use ppsfp, "
-          "ppsfp_mt, or sharded with misr observation");
+          "the serial engine has no signature-grading mode; use ppsfp or "
+          "ppsfp_mt with misr observation");
     }
     if (engine.kind == "ppsfp" && engine.num_threads > 1) {
       add("engine.num_threads",
           "ppsfp is single-threaded; use ppsfp_mt for num_threads > 1");
     }
-    if (engine.grade_width != 1 && engine.grade_width != 4 &&
-        engine.grade_width != 8) {
-      add("engine.grade_width",
-          "grade_width must be 1, 4, or 8, got " +
-              std::to_string(engine.grade_width));
-    } else if (engine.grade_width != 1) {
-      if (engine.kind == "serial") {
-        add("engine.grade_width",
-            "the serial engine has no wide kernel; grade_width requires a "
-            "PPSFP-family engine");
-      }
-      if (misr) {
-        add("engine.grade_width",
-            "misr signature grading is strictly 64-lane; grade_width must "
-            "be 1");
-      }
-    }
-    if (engine.shards != 0 && engine.kind != "sharded") {
-      add("engine.shards",
-          "shards is only meaningful for engine 'sharded'");
-    }
+  }
+  if (engine.grade_width != 1) {
+    add("engine.grade_width", "grade_width must be 1, got " +
+                                  std::to_string(engine.grade_width));
   }
 
   // ---- axis 4: lot + analysis ----

@@ -101,25 +101,19 @@ struct ObservationSpec {
 /// Axis 3: which grading engine runs the program.
 struct EngineSpec {
   /// "serial" (reference engine), "ppsfp" (single-threaded production
-  /// engine), "ppsfp_mt" (worker pool) or "sharded" (contiguous
-  /// fault-range shards over the grading core — fault/shard.hpp). All
-  /// four grade bit-identically; "serial" has no signature-grading mode,
-  /// so misr observation requires one of the PPSFP-family engines.
+  /// engine) or "ppsfp_mt" (worker pool). All three grade
+  /// bit-identically; "serial" has no signature-grading mode, so misr
+  /// observation requires ppsfp or ppsfp_mt.
   std::string kind = "ppsfp";
 
-  /// Workers for "ppsfp_mt" / per-shard workers for "sharded" (and for
-  /// misr signature grading): the shared util::resolve_worker_count
-  /// convention — 0 = one per hardware thread.
+  /// Workers for "ppsfp_mt" (and for misr signature grading): the shared
+  /// util::resolve_worker_count convention — 0 = one per hardware thread.
   std::size_t num_threads = 0;
 
-  /// Grading word width in 64-pattern units (1, 4 or 8): width w grades
-  /// w*64 patterns per pass through the sim::WideWord kernel. Ignored by
-  /// "serial"; misr observation is strictly 64-lane and requires 1.
+  /// Grading word width in 64-pattern units. Only 1 is valid (validate()
+  /// rejects anything else) and no spec key sets it; the field remains
+  /// so callers that pass it straight to fault::simulate_ppsfp compile.
   std::size_t grade_width = 1;
-
-  /// Shard count for "sharded" (0 = one per hardware thread). Must stay
-  /// 0 for every other engine kind.
-  std::size_t shards = 0;
 
   friend bool operator==(const EngineSpec&, const EngineSpec&) = default;
 };

@@ -134,12 +134,6 @@ void apply_key(SpecFile& file, const std::string& key,
   } else if (key == "threads") {
     spec.engine.num_threads =
         static_cast<std::size_t>(parse_unsigned(value, line, key));
-  } else if (key == "grade_width") {
-    spec.engine.grade_width =
-        static_cast<std::size_t>(parse_unsigned(value, line, key));
-  } else if (key == "shards") {
-    spec.engine.shards =
-        static_cast<std::size_t>(parse_unsigned(value, line, key));
   } else if (key == "chips") {
     spec.lot.chip_count =
         static_cast<std::size_t>(parse_unsigned(value, line, key));
@@ -262,15 +256,8 @@ std::string write_spec_string(const SpecFile& file) {
     }
   }
   out << "engine = " << spec.engine.kind << "\n";
-  if (spec.engine.kind == "ppsfp_mt" || spec.engine.kind == "sharded") {
+  if (spec.engine.kind == "ppsfp_mt") {
     out << "threads = " << spec.engine.num_threads << "\n";
-  }
-  // Non-default only, so pre-existing spec files round-trip unchanged.
-  if (spec.engine.grade_width != 1) {
-    out << "grade_width = " << spec.engine.grade_width << "\n";
-  }
-  if (spec.engine.shards != 0) {
-    out << "shards = " << spec.engine.shards << "\n";
   }
   out << "chips = " << spec.lot.chip_count << "\n"
       << "yield = " << spec.lot.yield << "\n"

@@ -8,7 +8,7 @@ namespace lsiq::util {
 
 namespace detail {
 
-thread_local const DeadlineFrame* tl_deadline = nullptr;
+constinit thread_local const DeadlineFrame* tl_deadline = nullptr;
 
 void poll_deadline_slow() {
   const DeadlineFrame* top = tl_deadline;

@@ -38,7 +38,10 @@ struct DeadlineFrame {
   const std::atomic<bool>* cancel = nullptr;
   const DeadlineFrame* outer;
 };
-extern thread_local const DeadlineFrame* tl_deadline;
+// constinit: the initializer is the constant nullptr, so other
+// translation units read the variable directly rather than through the
+// thread-local wrapper call, which UBSan builds flag as a null load.
+extern constinit thread_local const DeadlineFrame* tl_deadline;
 /// Checks every cancel flag on the scope stack (throws CancelledError),
 /// then reads the clock and throws DeadlineExceeded when the effective
 /// deadline passed.

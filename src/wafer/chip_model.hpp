@@ -2,7 +2,8 @@
 //
 // The paper characterized its model on 277 production chips from a Bell
 // Labs wafer lot; we cannot have those, so this module manufactures
-// virtual lots with *known ground truth* (DESIGN.md, substitution table).
+// virtual lots with *known ground truth*: the yield and n0 that generated
+// a lot are inputs, so every estimate can be checked against them.
 // A chip is a set of single stuck-at faults drawn from the circuit's fault
 // universe. Two generators:
 //

@@ -10,12 +10,15 @@
 // multi-thread partitioning) surfaces as a first_detection mismatch long
 // before it could corrupt a quality figure. The serial engine is the
 // oracle: its transition launch word is derived independently of
-// fault_model::TwoPatternWindow.
+// fault_model::TwoPatternWindow. The class-range cases grade the class
+// list in pieces through grade_class_range and hold the assembled vector
+// to one whole-range grade.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -24,11 +27,12 @@
 #include "circuit/generators.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
-#include "fault/shard.hpp"
 #include "fault/strobe.hpp"
 #include "fault_model/universe.hpp"
 #include "sim/pattern.hpp"
 #include "tpg/atpg.hpp"
+#include "tpg/lfsr.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace lsiq::fault {
@@ -90,35 +94,6 @@ void expect_engines_agree(const FaultList& faults, const PatternSet& patterns,
         << "ppsfp_mt with " << threads << " threads diverges";
     EXPECT_EQ(serial.covered_faults, mt.covered_faults);
     EXPECT_EQ(serial.detected_classes, mt.detected_classes);
-  }
-  // The wide kernel grades width x 64 patterns per pass; widths 4 and 8
-  // must land bit-identically on the same oracle, single- and
-  // multi-threaded.
-  for (const std::size_t width : {std::size_t{4}, std::size_t{8}}) {
-    const FaultSimResult wide =
-        simulate_ppsfp(faults, patterns, schedule, nullptr, width);
-    EXPECT_EQ(serial.first_detection, wide.first_detection)
-        << "wide kernel (width " << width << ") diverges";
-    const FaultSimResult wide_mt =
-        simulate_ppsfp_mt(faults, patterns, schedule, 4, nullptr, width);
-    EXPECT_EQ(serial.first_detection, wide_mt.first_detection)
-        << "wide MT kernel (width " << width << ") diverges";
-  }
-  // The sharded engine must fold per-shard vectors back to the identical
-  // result for any shard count (7 leaves some shards nearly empty on the
-  // smaller universes). Shard count 2 also crosses in a wide width so the
-  // shard x width product is covered.
-  for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                   std::size_t{7}}) {
-    ShardedOptions options;
-    options.shards = shards;
-    options.width = shards == 2 ? 4 : 1;
-    const FaultSimResult sharded =
-        simulate_sharded(faults, patterns, schedule, options);
-    EXPECT_EQ(serial.first_detection, sharded.first_detection)
-        << "sharded engine with " << shards << " shards diverges";
-    EXPECT_EQ(serial.covered_faults, sharded.covered_faults);
-    EXPECT_EQ(serial.detected_classes, sharded.detected_classes);
   }
 }
 
@@ -365,6 +340,142 @@ TEST(EngineEquivalence, AtpgProgramsGradeIdenticallyOnEveryEngine) {
     const tpg::AtpgResult generated = tpg::generate_tests(faults, options);
     ASSERT_GE(generated.patterns.size(), 2u);
     expect_engines_agree(faults, generated.patterns);
+  }
+}
+
+/// Boundaries of `parts` contiguous class ranges covering [0, classes)
+/// whose sizes differ by at most one; the first classes % parts ranges
+/// take the extra class.
+std::vector<std::size_t> even_cut(std::size_t classes, std::size_t parts) {
+  std::vector<std::size_t> bounds{0};
+  for (std::size_t p = 0; p < parts; ++p) {
+    bounds.push_back(bounds.back() + classes / parts +
+                     (p < classes % parts ? 1 : 0));
+  }
+  return bounds;
+}
+
+/// grade_class_range over consecutive pieces of the class list, all
+/// written into one first_detection vector, must equal one whole-range
+/// simulate_ppsfp: the piece cuts are 1, 2 and 7 equal parts and
+/// class_count - 1 parts (one two-class range, the rest single classes),
+/// each graded at 1 and 4 threads, under full observation and under a
+/// progressive schedule that leaves classes asleep. mult16 with a
+/// 300-pattern LFSR program, whose last block is partial (4 x 64 + 44).
+void expect_class_ranges_match(FaultModel model) {
+  const Circuit c = circuit::make_array_multiplier(16);
+  const FaultList faults = fault_model::universe(c, model);
+  const PatternSet patterns =
+      tpg::lfsr_patterns(c.pattern_inputs().size(), 300, 1981);
+  const auto compiled = std::make_shared<const CompiledCircuit>(c);
+  // One output more every 24 patterns: outputs 13 and up start past the
+  // end of the program, so their classes never wake.
+  const StrobeSchedule progressive =
+      StrobeSchedule::progressive(c.observed_points().size(), 24);
+  const std::vector<std::size_t> wake =
+      wake_patterns(faults, *compiled, progressive);
+  ASSERT_TRUE(std::any_of(wake.begin(), wake.end(), [&](std::size_t w) {
+    return w >= patterns.size();
+  })) << "the schedule should leave some class asleep for the whole program";
+
+  const std::size_t classes = faults.class_count();
+  ASSERT_GT(classes, 7u);
+  for (const StrobeSchedule* schedule :
+       {static_cast<const StrobeSchedule*>(nullptr), &progressive}) {
+    SCOPED_TRACE(schedule == nullptr ? "full" : "progressive");
+    const FaultSimResult whole = simulate_ppsfp(faults, patterns, schedule);
+    for (const std::size_t parts : {std::size_t{1}, std::size_t{2},
+                                    std::size_t{7}, classes - 1}) {
+      const std::vector<std::size_t> bounds = even_cut(classes, parts);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        std::vector<std::int64_t> pieced(classes, -1);
+        for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+          grade_class_range(faults, patterns, schedule, compiled, threads,
+                            bounds[i], bounds[i + 1], pieced);
+        }
+        // Byte-identical, not merely equal coverage: the whole
+        // first_detection vector is the contract.
+        EXPECT_EQ(whole.first_detection, pieced)
+            << parts << " parts at " << threads << " threads";
+      }
+    }
+  }
+}
+
+TEST(EngineEquivalence, ClassRangesMatchWholeGradeStuckAt) {
+  expect_class_ranges_match(FaultModel::kStuckAt);
+}
+
+TEST(EngineEquivalence, ClassRangesMatchWholeGradeTransition) {
+  expect_class_ranges_match(FaultModel::kTransition);
+}
+
+TEST(EngineEquivalence, ClassRangeCutsNeverSplitACollapsedClass) {
+  // A collapsed class owns a contiguous run of member faults, so a range
+  // boundary at any class index falls between two abutting fault runs and
+  // never divides one class's members. Cut at every awkward position:
+  // class_count - 1 parts (one two-class range, the rest single classes),
+  // one class per range, and more parts than classes, which leaves the
+  // trailing ranges empty.
+  const Circuit c = circuit::make_array_multiplier(16);
+  const FaultList faults = fault_model::universe(c, FaultModel::kStuckAt);
+  const PatternSet patterns =
+      tpg::lfsr_patterns(c.pattern_inputs().size(), 100, 7);
+  const auto compiled = std::make_shared<const CompiledCircuit>(c);
+  const FaultSimResult whole = simulate_ppsfp(faults, patterns);
+  const std::size_t classes = faults.class_count();
+  ASSERT_GT(classes, 2u);
+  for (const std::size_t parts : {classes - 1, classes, classes + 5}) {
+    const std::vector<std::size_t> bounds = even_cut(classes, parts);
+    std::vector<std::int64_t> pieced(classes, -1);
+    for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+      grade_class_range(faults, patterns, nullptr, compiled, 1, bounds[i],
+                        bounds[i + 1], pieced);
+    }
+    EXPECT_EQ(whole.first_detection, pieced)
+        << parts << " parts over " << classes << " classes";
+  }
+}
+
+TEST(EngineEquivalence, MultiThreadedClassRangesMatchWholeGrade) {
+  // Each range graded by four lanes; the assembled vector must still be
+  // the single-lane whole grade, with coverage finalized from it.
+  const Circuit c = circuit::make_array_multiplier(16);
+  const FaultList faults = fault_model::universe(c, FaultModel::kStuckAt);
+  const PatternSet patterns =
+      tpg::lfsr_patterns(c.pattern_inputs().size(), 300, 3);
+  const auto compiled = std::make_shared<const CompiledCircuit>(c);
+  const FaultSimResult whole = simulate_ppsfp(faults, patterns);
+  const std::vector<std::size_t> bounds = even_cut(faults.class_count(), 3);
+  FaultSimResult pieced;
+  pieced.first_detection.assign(faults.class_count(), -1);
+  for (std::size_t i = 0; i + 1 < bounds.size(); ++i) {
+    grade_class_range(faults, patterns, nullptr, compiled, 4, bounds[i],
+                      bounds[i + 1], pieced.first_detection);
+  }
+  pieced.finalize(faults);
+  EXPECT_EQ(whole.first_detection, pieced.first_detection);
+  EXPECT_EQ(whole.covered_faults, pieced.covered_faults);
+  EXPECT_EQ(whole.detected_classes, pieced.detected_classes);
+  EXPECT_DOUBLE_EQ(whole.coverage, pieced.coverage);
+}
+
+TEST(EngineEquivalence, PpsfpAcceptsOnlyWidthOne) {
+  // simulate_ppsfp keeps its trailing width argument for existing
+  // callers; the one-word grade is the only width left.
+  const Circuit c = circuit::make_c17();
+  const FaultList faults = fault_model::universe(c, FaultModel::kStuckAt);
+  const PatternSet patterns =
+      random_program(c.pattern_inputs().size(), 64, 1);
+  EXPECT_EQ(simulate_ppsfp(faults, patterns, nullptr, nullptr, 1)
+                .first_detection,
+            simulate_serial(faults, patterns).first_detection);
+  for (const std::size_t width : {std::size_t{0}, std::size_t{4},
+                                  std::size_t{8}}) {
+    EXPECT_THROW((void)simulate_ppsfp(faults, patterns, nullptr, nullptr,
+                                      width),
+                 ContractViolation)
+        << "width " << width;
   }
 }
 

@@ -134,8 +134,11 @@ const Case kCases[] = {
     {"bad engine name",
      [](FlowSpec& s) { s.engine.kind = "fast"; },
      "engine.kind",
-     "unknown engine 'fast' (expected serial, ppsfp, ppsfp_mt, or "
-     "sharded)"},
+     "unknown engine 'fast' (expected serial, ppsfp, or ppsfp_mt)"},
+    {"removed sharded engine",
+     [](FlowSpec& s) { s.engine.kind = "sharded"; },
+     "engine.kind",
+     "unknown engine 'sharded' (expected serial, ppsfp, or ppsfp_mt)"},
     {"serial engine with misr observation",
      [](FlowSpec& s) {
        s.observe.kind = "misr";
@@ -143,38 +146,16 @@ const Case kCases[] = {
        s.analysis.strobe_coverages.clear();
      },
      "engine.kind",
-     "the serial engine has no signature-grading mode; use ppsfp, "
-     "ppsfp_mt, or sharded with misr observation"},
+     "the serial engine has no signature-grading mode; use ppsfp or "
+     "ppsfp_mt with misr observation"},
     {"ppsfp with a worker pool",
      [](FlowSpec& s) { s.engine.num_threads = 4; },
      "engine.num_threads",
      "ppsfp is single-threaded; use ppsfp_mt for num_threads > 1"},
-    {"unsupported grade width",
-     [](FlowSpec& s) { s.engine.grade_width = 3; },
+    {"grade width other than 1",
+     [](FlowSpec& s) { s.engine.grade_width = 4; },
      "engine.grade_width",
-     "grade_width must be 1, 4, or 8, got 3"},
-    {"serial engine with a wide kernel",
-     [](FlowSpec& s) {
-       s.engine.kind = "serial";
-       s.engine.grade_width = 4;
-     },
-     "engine.grade_width",
-     "the serial engine has no wide kernel; grade_width requires a "
-     "PPSFP-family engine"},
-    {"misr observation with a wide kernel",
-     [](FlowSpec& s) {
-       s.observe.kind = "misr";
-       s.engine.kind = "ppsfp_mt";
-       s.engine.grade_width = 8;
-       s.analysis.strobe_coverages.clear();
-     },
-     "engine.grade_width",
-     "misr signature grading is strictly 64-lane; grade_width must "
-     "be 1"},
-    {"shards on a non-sharded engine",
-     [](FlowSpec& s) { s.engine.shards = 2; },
-     "engine.shards",
-     "shards is only meaningful for engine 'sharded'"},
+     "grade_width must be 1, got 4"},
     {"yield out of range",
      [](FlowSpec& s) { s.lot.yield = 1.0; },
      "lot.yield",

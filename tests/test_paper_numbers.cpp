@@ -1,8 +1,9 @@
 // Every quantitative claim in the paper's text, checked against the
 // implementation. Each test cites the section it reproduces; tolerances
 // reflect that several of the paper's numbers are read off log-scale plots.
-// EXPERIMENTS.md discusses the one genuine text/graph discrepancy (the
-// "99 percent" for y=0.2, n0=2 in Section 4).
+// The one genuine text/graph discrepancy is the "99 percent" for y=0.2,
+// n0=2 in Section 4: Eq. 8 needs f ~ 0.9966 there
+// (Yield20N0Two_TextValueIsAGraphReadOff).
 #include <gtest/gtest.h>
 
 #include "core/baselines.hpp"

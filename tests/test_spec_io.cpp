@@ -70,11 +70,16 @@ TEST(SpecIo, MisrKeysSelectTheSignaturePath) {
 }
 
 TEST(SpecIo, UnknownKeyNamesTheLine) {
-  try {
-    read_spec_string("source = lfsr\nbogus = 1\n");
-    FAIL() << "expected ParseError";
-  } catch (const ParseError& e) {
-    EXPECT_EQ(std::string(e.what()), "spec line 2: unknown key 'bogus'");
+  // Keys of removed options are unknown like any other.
+  for (const char* key : {"bogus", "grade_width", "shards"}) {
+    SCOPED_TRACE(key);
+    try {
+      read_spec_string("source = lfsr\n" + std::string(key) + " = 1\n");
+      FAIL() << "expected ParseError";
+    } catch (const ParseError& e) {
+      EXPECT_EQ(std::string(e.what()),
+                "spec line 2: unknown key '" + std::string(key) + "'");
+    }
   }
 }
 
