@@ -3,7 +3,7 @@
 // Every bench binary prints: a banner identifying the paper artifact it
 // regenerates, the regenerated rows/series as aligned text, and — where the
 // paper gives concrete numbers — a side-by-side "paper vs. reproduced"
-// comparison. EXPERIMENTS.md records the outputs.
+// comparison. The output is deterministic, so two runs diff clean.
 #pragma once
 
 #include <string>

@@ -1,6 +1,7 @@
 // Performance suite for the simulation substrate (google-benchmark):
 // compiled parallel-pattern logic simulation, event-driven simulation,
-// serial vs PPSFP vs multi-threaded PPSFP fault simulation, and PODEM.
+// serial vs PPSFP vs multi-threaded PPSFP fault simulation, PODEM, and the
+// static analyzer (structural pass, implication prover, testability).
 //
 // The headline ablation is serial vs PPSFP vs PPSFP-MT: parallel-pattern
 // single-fault propagation with fault dropping on the compiled netlist —
@@ -9,10 +10,11 @@
 // an overnight job, the engineering that made the paper's Section 5
 // procedure practical.
 //
-// Trajectory tracking: regenerate the committed BENCH_fault_sim.json with
+// Trajectory tracking: regenerate the committed BENCH_fault_sim.json from
+// the whole suite (CI runs and gates every row) with
 //
-//   ./perf_fault_sim --benchmark_filter='FaultSim|Grade'
-//       --benchmark_out=BENCH_fault_sim.json --benchmark_out_format=json
+//   ./perf_fault_sim --benchmark_out=BENCH_fault_sim.json
+//       --benchmark_out_format=json
 #include <benchmark/benchmark.h>
 
 #include "analyze/analyze.hpp"
@@ -39,7 +41,9 @@ circuit::Circuit circuit_for(int selector) {
     case 0: return circuit::make_c17();
     case 1: return circuit::make_ripple_carry_adder(16);
     case 2: return circuit::make_array_multiplier(8);
-    default: return circuit::make_array_multiplier(16);
+    case 3: return circuit::make_array_multiplier(16);
+    case 4: return circuit::make_array_multiplier(32);
+    default: return circuit::make_array_multiplier(64);
   }
 }
 
@@ -48,7 +52,9 @@ const char* circuit_name(int selector) {
     case 0: return "c17";
     case 1: return "rca16";
     case 2: return "mult8";
-    default: return "mult16";
+    case 3: return "mult16";
+    case 4: return "mult32";
+    default: return "mult64";
   }
 }
 
@@ -234,13 +240,16 @@ void BM_Podem_PerFault(benchmark::State& state) {
 }
 BENCHMARK(BM_Podem_PerFault)->Arg(0)->Arg(1);
 
-// The static analyzer: the whole structural pass (topology, constant
-// propagation, observability, untestable sites, FFR stats) has to stay
-// cheap enough to run as a pre-flight gate before EVERY flow.
+// The static analyzer's structural pass (topology, constant propagation,
+// observability, tied-constant untestable sites, FFR stats) has to stay
+// cheap enough to run as a pre-flight gate before EVERY flow. The
+// implication prover is off here; BM_Analyze_Implications times it.
 void BM_Analyze_Structural(benchmark::State& state) {
   const circuit::Circuit c = circuit_for(static_cast<int>(state.range(0)));
+  analyze::Options options;
+  options.untestable = analyze::Policy::kOff;
   for (auto _ : state) {
-    const analyze::Report report = analyze::analyze(c);
+    const analyze::Report report = analyze::analyze(c, options);
     benchmark::DoNotOptimize(report.diagnostics.size());
     benchmark::DoNotOptimize(report.ffr.regions);
   }
@@ -250,8 +259,8 @@ void BM_Analyze_Structural(benchmark::State& state) {
 }
 BENCHMARK(BM_Analyze_Structural)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
-// The implication engine end to end: direct-implication tables, static
-// learning, dominators, cones, plus a full FIRE redundancy sweep. This is
+// The implication engine end to end: static learning, dominators and the
+// dominator side-input cones, plus a full FIRE redundancy sweep. This is
 // the one-time cost flow::run pays (per circuit, amortized over every
 // PODEM solve) when analyze_untestable is enabled.
 void BM_Analyze_Implications(benchmark::State& state) {
@@ -267,8 +276,8 @@ void BM_Analyze_Implications(benchmark::State& state) {
                           static_cast<std::int64_t>(c.gate_count()));
   state.SetLabel(circuit_name(static_cast<int>(state.range(0))));
 }
-BENCHMARK(BM_Analyze_Implications)->Arg(0)->Arg(1)->Arg(2)->Arg(3)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_Analyze_Implications)->Arg(0)->Arg(1)->Arg(2)->Arg(3)->Arg(4)
+    ->Arg(5)->Unit(benchmark::kMillisecond);
 
 // COP + SCOAP over a collapsed universe: the testability half of the
 // gate, and the cost of one predicted coverage curve.

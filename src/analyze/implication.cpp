@@ -1,6 +1,7 @@
 #include "analyze/implication.hpp"
 
 #include <algorithm>
+#include <cstddef>
 
 namespace lsiq::analyze {
 
@@ -24,13 +25,14 @@ Tri literal_tri(Literal lit) noexcept {
 }
 
 /// Caps that keep the one-time learning sweep near-linear: per-literal
-/// closures larger than this are not indexed (their contrapositives are
-/// almost all derivable anyway), and no literal accumulates more learned
-/// edges than it could usefully replay.
+/// closures larger than this keep only their lowest-id lines and are not
+/// indexed (their contrapositives are almost all derivable anyway), and
+/// no literal accumulates more learned edges than it could usefully
+/// replay.
 constexpr std::size_t kMaxForcedStored = 256;
 constexpr std::size_t kMaxLearnedPerLiteral = 64;
-/// Round caps for the implied-constant fixpoints (each round is a full
-/// 2n-literal probe; real circuits converge in one or two).
+/// Round caps for the implied-constant fixpoints (each round probes all
+/// 2n literals; real circuits converge in one or two).
 constexpr int kConstantRounds = 4;
 constexpr int kPostLearnRounds = 2;
 
@@ -40,8 +42,8 @@ ImplicationEngine::ImplicationEngine(const CompiledCircuit& compiled)
     : compiled_(&compiled), n_(compiled.node_count()) {
   build_base();
   learn();
-  build_cones();
   build_dominators();
+  build_cone_pins();
 }
 
 LineValue ImplicationEngine::constant(GateId id) const {
@@ -55,33 +57,37 @@ LineValue ImplicationEngine::constant(GateId id) const {
   }
 }
 
-bool ImplicationEngine::set_value(std::vector<Tri>& values,
-                                  std::vector<GateId>& queue, GateId id,
-                                  Tri value) const {
+std::size_t ImplicationEngine::learned_edge_count() const {
+  std::size_t count = 0;
+  for (const std::vector<Literal>& edges : learned_) count += edges.size();
+  return count;
+}
+
+bool ImplicationEngine::set_value(Probe& probe, GateId id, Tri value) const {
   if (value == Tri::kX) return true;
-  const Tri current = values[id];
+  const Tri current = probe.values[id];
   if (current == value) return true;
   if (current != Tri::kX) return false;  // 0 and 1 both forced: contradiction
-  values[id] = value;
+  probe.values[id] = value;
+  probe.trail.push_back(id);
   // Re-examine the gate itself (its backward rules just armed) and every
   // reader (their forward/backward rules see a new operand). Values are
   // monotone X -> {0,1}, so total enqueues are bounded by edges + nodes.
-  queue.push_back(id);
+  probe.queue.push_back(id);
   const GateId* outs = compiled_->fanout(id);
   const std::size_t count = compiled_->fanout_count(id);
-  for (std::size_t i = 0; i < count; ++i) queue.push_back(outs[i]);
+  for (std::size_t i = 0; i < count; ++i) probe.queue.push_back(outs[i]);
   return true;
 }
 
-bool ImplicationEngine::examine(std::vector<Tri>& values,
-                                std::vector<GateId>& queue, GateId id) const {
+bool ImplicationEngine::examine(Probe& probe, GateId id) const {
+  const std::vector<Tri>& values = probe.values;
   // Learned indirect implications fire off the gate's literal regardless
   // of its type (they encode non-local consequences, not gate semantics).
   if (!learned_.empty() && values[id] != Tri::kX) {
     const Literal lit = make_literal(id, values[id] == Tri::kOne);
     for (const Literal forced : learned_[lit]) {
-      if (!set_value(values, queue, literal_line(forced),
-                     literal_tri(forced))) {
+      if (!set_value(probe, literal_line(forced), literal_tri(forced))) {
         return false;
       }
     }
@@ -92,8 +98,8 @@ bool ImplicationEngine::examine(std::vector<Tri>& values,
   // is a scan boundary — its D driver is observed, its output is an
   // independent pattern input, so nothing implies across it either way.
   if (type == GateType::kInput || type == GateType::kDff) return true;
-  if (type == GateType::kConst0) return set_value(values, queue, id, Tri::kZero);
-  if (type == GateType::kConst1) return set_value(values, queue, id, Tri::kOne);
+  if (type == GateType::kConst0) return set_value(probe, id, Tri::kZero);
+  if (type == GateType::kConst1) return set_value(probe, id, Tri::kOne);
 
   const GateId* pins = compiled_->fanin(id);
   const int count = static_cast<int>(compiled_->fanin_count(id));
@@ -104,11 +110,11 @@ bool ImplicationEngine::examine(std::vector<Tri>& values,
     const bool invert = type == GateType::kNot;
     const Tri in = values[pins[0]];
     if (in != Tri::kX &&
-        !set_value(values, queue, id, invert ? sim::tri_not(in) : in)) {
+        !set_value(probe, id, invert ? sim::tri_not(in) : in)) {
       return false;
     }
     if (out != Tri::kX &&
-        !set_value(values, queue, pins[0], invert ? sim::tri_not(out) : out)) {
+        !set_value(probe, pins[0], invert ? sim::tri_not(out) : out)) {
       return false;
     }
     return true;
@@ -134,10 +140,10 @@ bool ImplicationEngine::examine(std::vector<Tri>& values,
     // too.
     if (controlled) {
       const Tri forward = invert ? sim::tri_not(controlling) : controlling;
-      if (!set_value(values, queue, id, forward)) return false;
+      if (!set_value(probe, id, forward)) return false;
     } else if (unknown == 0) {
       const Tri forward = invert ? sim::tri_not(neutral) : neutral;
-      if (!set_value(values, queue, id, forward)) return false;
+      if (!set_value(probe, id, forward)) return false;
     }
     // Backward: the neutral-side output value forces every input neutral;
     // the controlled-side output with exactly one unknown input is the
@@ -146,10 +152,10 @@ bool ImplicationEngine::examine(std::vector<Tri>& values,
       const Tri effective = invert ? sim::tri_not(out) : out;
       if (effective == neutral) {
         for (int i = 0; i < count; ++i) {
-          if (!set_value(values, queue, pins[i], neutral)) return false;
+          if (!set_value(probe, pins[i], neutral)) return false;
         }
       } else if (!controlled && unknown == 1) {
-        if (!set_value(values, queue, unknown_pin, controlling)) return false;
+        if (!set_value(probe, unknown_pin, controlling)) return false;
       }
     }
     return true;
@@ -171,70 +177,115 @@ bool ImplicationEngine::examine(std::vector<Tri>& values,
     }
   }
   if (unknown == 0) {
-    if (!set_value(values, queue, id, parity ? Tri::kOne : Tri::kZero)) {
+    if (!set_value(probe, id, parity ? Tri::kOne : Tri::kZero)) {
       return false;
     }
   } else if (unknown == 1 && out != Tri::kX) {
     const bool in = (out == Tri::kOne) != parity;
-    if (!set_value(values, queue, unknown_pin, in ? Tri::kOne : Tri::kZero)) {
+    if (!set_value(probe, unknown_pin, in ? Tri::kOne : Tri::kZero)) {
       return false;
     }
   }
   return true;
 }
 
-bool ImplicationEngine::drain(std::vector<Tri>& values,
-                              std::vector<GateId>& queue) const {
-  while (!queue.empty()) {
-    const GateId id = queue.back();
-    queue.pop_back();
-    if (!examine(values, queue, id)) return false;
+bool ImplicationEngine::drain(Probe& probe) const {
+  while (!probe.queue.empty()) {
+    const GateId id = probe.queue.back();
+    probe.queue.pop_back();
+    if (!examine(probe, id)) return false;
   }
   return true;
+}
+
+ImplicationEngine::Probe ImplicationEngine::make_probe() const {
+  return Probe{base_, {}, {}};
+}
+
+bool ImplicationEngine::assume(Probe& probe,
+                               std::span<const Literal> assumptions) const {
+  for (const Literal lit : assumptions) {
+    if (!set_value(probe, literal_line(lit), literal_tri(lit))) return false;
+  }
+  return drain(probe);
+}
+
+void ImplicationEngine::restore(Probe& probe) const {
+  for (const GateId id : probe.trail) probe.values[id] = base_[id];
+  probe.trail.clear();
+  probe.queue.clear();  // a contradiction leaves work queued
 }
 
 bool ImplicationEngine::propagate(const std::vector<Literal>& assumptions,
                                   std::vector<Tri>& values) const {
-  values = base_;
-  std::vector<GateId> queue;
-  queue.reserve(64);
-  for (const Literal lit : assumptions) {
-    if (!set_value(values, queue, literal_line(lit), literal_tri(lit))) {
-      return false;
-    }
-  }
-  return drain(values, queue);
+  Probe probe = make_probe();
+  const bool consistent = assume(probe, assumptions);
+  values = std::move(probe.values);
+  return consistent;
 }
 
 void ImplicationEngine::build_base() {
-  base_.assign(n_, Tri::kX);
-  std::vector<GateId> queue;
+  Probe probe{std::vector<Tri>(n_, Tri::kX), {}, {}};
   for (GateId id = 0; id < static_cast<GateId>(n_); ++id) {
     const GateType type = compiled_->type(id);
     if (type == GateType::kConst0) {
-      set_value(base_, queue, id, Tri::kZero);
+      set_value(probe, id, Tri::kZero);
     } else if (type == GateType::kConst1) {
-      set_value(base_, queue, id, Tri::kOne);
+      set_value(probe, id, Tri::kOne);
     }
   }
   // Tied constants are consistent facts; this drain cannot contradict.
-  drain(base_, queue);
+  drain(probe);
+  base_ = std::move(probe.values);
 }
 
-bool ImplicationEngine::sweep_constants() {
+struct ImplicationEngine::Closures {
+  /// forced[L]: the kMaxForcedStored lowest-id lines L forces (other than
+  /// its own), as sorted literals; truncated[L]: L forces more than that.
+  std::vector<std::vector<Literal>> forced;
+  std::vector<char> truncated;
+
+  void clear(std::size_t literal_count) {
+    forced.assign(literal_count, {});
+    truncated.assign(literal_count, 0);
+  }
+
+  /// Record the closure of `lit` from the probe's trail (propagation
+  /// order; sorted here, which also orders the literals).
+  void record(Literal lit, Probe& probe) {
+    std::vector<GateId>& lines = probe.trail;
+    std::sort(lines.begin(), lines.end());
+    std::vector<Literal>& list = forced[lit];
+    for (const GateId m : lines) {
+      if (m == literal_line(lit)) continue;
+      if (list.size() >= kMaxForcedStored) {
+        truncated[lit] = 1;
+        break;
+      }
+      list.push_back(make_literal(m, probe.values[m] == Tri::kOne));
+    }
+  }
+};
+
+bool ImplicationEngine::sweep(Probe& probe, bool bake, Closures* closures) {
+  if (closures != nullptr) closures->clear(2 * n_);
   bool changed = false;
-  std::vector<Tri> values;
-  std::vector<GateId> queue;
   for (GateId id = 0; id < static_cast<GateId>(n_); ++id) {
     if (base_[id] != Tri::kX) continue;
     for (const bool one : {false, true}) {
-      if (propagate({make_literal(id, one)}, values)) continue;
+      const Literal lit = make_literal(id, one);
+      const bool consistent = assume(probe, {&lit, 1});
+      if (consistent && closures != nullptr) closures->record(lit, probe);
+      restore(probe);
+      if (consistent || !bake) continue;
       // `id = one` is impossible on every pattern: the opposite value is
-      // an implied constant. Bake it in and propagate its consequences
-      // (a true fact — this drain cannot contradict).
-      queue.clear();
-      set_value(base_, queue, id, one ? Tri::kZero : Tri::kOne);
-      drain(base_, queue);
+      // an implied constant. Bake it and its consequences into the probe
+      // (a true fact — this drain cannot contradict), then copy the
+      // bake's trail into base_ so the two stay equal.
+      set_value(probe, id, one ? Tri::kZero : Tri::kOne);
+      drain(probe);
+      for (const GateId line : probe.trail) base_[line] = probe.values[line];
+      probe.trail.clear();
       changed = true;
       break;
     }
@@ -244,36 +295,24 @@ bool ImplicationEngine::sweep_constants() {
 
 void ImplicationEngine::learn() {
   learned_.clear();
+  Probe probe = make_probe();
 
-  // Phase 1: implied constants from gate rules alone. Each new constant
-  // can enable more, so iterate (capped; real circuits settle fast).
-  for (int round = 0; round < kConstantRounds; ++round) {
-    if (!sweep_constants()) break;
+  // Phases 1 and 2: implied constants from gate rules alone, and the
+  // direct closure F[L] of every free literal — both the source of
+  // contrapositives and the redundancy filter below. Each new constant
+  // can enable more, so sweep in rounds (capped; real circuits settle
+  // fast). The first round that bakes nothing probed every free literal
+  // against the final constants, so its closures are F; when the cap
+  // ends the rounds first, one more pass collects F without baking.
+  Closures closures;
+  bool settled = false;
+  for (int round = 0; round < kConstantRounds && !settled; ++round) {
+    settled = !sweep(probe, true, &closures);
   }
-
-  // Phase 2: the direct closure F[L] of every free literal — both the
-  // source of contrapositives and the redundancy filter below.
+  if (!settled) sweep(probe, false, &closures);
+  const std::vector<std::vector<Literal>>& forced = closures.forced;
+  const std::vector<char>& truncated = closures.truncated;
   const std::size_t literal_count = 2 * n_;
-  std::vector<std::vector<Literal>> forced(literal_count);
-  std::vector<char> truncated(literal_count, 0);
-  std::vector<Tri> values;
-  for (GateId id = 0; id < static_cast<GateId>(n_); ++id) {
-    if (base_[id] != Tri::kX) continue;
-    for (const bool one : {false, true}) {
-      const Literal lit = make_literal(id, one);
-      if (!propagate({lit}, values)) continue;  // phase-1 cap leftovers
-      auto& list = forced[lit];
-      for (GateId m = 0; m < static_cast<GateId>(n_); ++m) {
-        if (m == id || base_[m] != Tri::kX || values[m] == Tri::kX) continue;
-        if (list.size() >= kMaxForcedStored) {
-          truncated[lit] = 1;
-          break;
-        }
-        list.push_back(make_literal(m, values[m] == Tri::kOne));
-      }
-      std::sort(list.begin(), list.end());
-    }
-  }
 
   // Phase 3: contrapositive learning. L => M gives not-M => not-L; store
   // the pair on not-M unless its own direct closure already derives it
@@ -295,18 +334,22 @@ void ImplicationEngine::learn() {
 
   // Phase 4: constants only the learned edges can expose.
   for (int round = 0; round < kPostLearnRounds; ++round) {
-    if (!sweep_constants()) break;
+    if (!sweep(probe, true, nullptr)) break;
   }
 }
 
-void ImplicationEngine::build_cones() {
-  cone_stride_ = (n_ + 63) / 64;
-  cone_.assign(n_ * cone_stride_, 0);
-  const auto& order = compiled_->source().topological_order();
-  for (auto it = order.rbegin(); it != order.rend(); ++it) {
-    const GateId id = *it;
-    std::uint64_t* row = cone_.data() + static_cast<std::size_t>(id) * cone_stride_;
-    row[id / 64] |= 1ULL << (id % 64);
+bool ImplicationEngine::in_cone(GateId source, GateId target) const {
+  if (source == target) return true;
+  // Levels strictly increase along every edge a fault effect crosses (a
+  // DFF output is a level-0 source), so only gates below the target's
+  // level can lie on a path to it, and a DFF is in no cone but its own.
+  const std::uint32_t limit = compiled_->level(target);
+  if (compiled_->level(source) >= limit) return false;
+  std::vector<char> seen(n_, 0);
+  std::vector<GateId> stack{source};
+  while (!stack.empty()) {
+    const GateId id = stack.back();
+    stack.pop_back();
     const GateId* outs = compiled_->fanout(id);
     const std::size_t count = compiled_->fanout_count(id);
     for (std::size_t i = 0; i < count; ++i) {
@@ -314,11 +357,13 @@ void ImplicationEngine::build_cones() {
       // Fault effects stop at a scan boundary: the DFF's capture is
       // observed, its output this pattern is an unaffected free variable.
       if (compiled_->type(reader) == GateType::kDff) continue;
-      const std::uint64_t* src =
-          cone_.data() + static_cast<std::size_t>(reader) * cone_stride_;
-      for (std::size_t w = 0; w < cone_stride_; ++w) row[w] |= src[w];
+      if (reader == target) return true;
+      if (compiled_->level(reader) >= limit || seen[reader] != 0) continue;
+      seen[reader] = 1;
+      stack.push_back(reader);
     }
   }
+  return false;
 }
 
 GateId ImplicationEngine::intersect_doms(GateId a, GateId b) const {
@@ -370,6 +415,56 @@ void ImplicationEngine::build_dominators() {
   }
 }
 
+void ImplicationEngine::build_cone_pins() {
+  // For each gate g whose immediate dominator d is AND/OR-like, walk
+  // forward from g through reachable gates below d's level. A fanin of d
+  // sits below d, and every gate on a path to it reaches an observed
+  // point through it, so the walk finds exactly the fanins of d in g's
+  // cone; it never crosses d. Walks are told apart by their start gate.
+  cone_pin_offset_.assign(n_ + 1, 0);
+  cone_pins_.clear();
+  std::vector<GateId> walked_from(n_, kNoGate);
+  std::vector<GateId> stack;
+  for (GateId g = 0; g < static_cast<GateId>(n_); ++g) {
+    cone_pin_offset_[g] = static_cast<std::uint32_t>(cone_pins_.size());
+    const GateId dom = immediate_dominator(g);
+    if (dom == kNoGate) continue;
+    const GateType type = compiled_->type(dom);
+    if (!and_like(type) && !or_like(type)) continue;  // no side-input rule
+    const std::uint32_t limit = compiled_->level(dom);
+    walked_from[g] = g;
+    stack.assign(1, g);
+    while (!stack.empty()) {
+      const GateId id = stack.back();
+      stack.pop_back();
+      const GateId* outs = compiled_->fanout(id);
+      const std::size_t count = compiled_->fanout_count(id);
+      for (std::size_t i = 0; i < count; ++i) {
+        const GateId reader = outs[i];
+        if (walked_from[reader] == g || reachable_[reader] == 0 ||
+            compiled_->type(reader) == GateType::kDff ||
+            compiled_->level(reader) >= limit) {
+          continue;
+        }
+        walked_from[reader] = g;
+        stack.push_back(reader);
+      }
+    }
+    const auto first = static_cast<std::ptrdiff_t>(cone_pins_.size());
+    const GateId* pins = compiled_->fanin(dom);
+    const std::size_t count = compiled_->fanin_count(dom);
+    for (std::size_t q = 0; q < count; ++q) {
+      if (walked_from[pins[q]] != g ||
+          std::find(cone_pins_.begin() + first, cone_pins_.end(), pins[q]) !=
+              cone_pins_.end()) {
+        continue;  // outside the cone, or a duplicated fanin
+      }
+      cone_pins_.push_back(pins[q]);
+    }
+  }
+  cone_pin_offset_[n_] = static_cast<std::uint32_t>(cone_pins_.size());
+}
+
 GateId ImplicationEngine::immediate_dominator(GateId id) const {
   const GateId dom = idom_[id];
   return dom == kNoGate || dom == sink_ ? kNoGate : dom;
@@ -415,16 +510,24 @@ std::vector<Literal> ImplicationEngine::necessary_seeds(
   // of the effect source, so each dominator's side inputs that lie
   // OUTSIDE the fault cone (their good and faulty values coincide) must
   // be non-controlling. Side inputs inside the cone may carry the effect
-  // and impose nothing.
+  // and impose nothing. A path from the source to a fanin of dominator
+  // d_k runs on through d_k to an observed point, so it crosses the chain
+  // member below d_k (the source itself for the first): the fanin is in
+  // the source's cone exactly when it is in that member's, which is the
+  // list build_cone_pins() recorded for it.
   if (reachable_[source] != 0) {
-    for (GateId dom = idom_[source]; dom != sink_; dom = idom_[dom]) {
+    GateId below = source;
+    for (GateId dom = idom_[source]; dom != sink_;
+         below = dom, dom = idom_[dom]) {
       const GateType type = compiled_->type(dom);
       if (!and_like(type) && !or_like(type)) continue;
       const bool neutral_one = and_like(type);
+      const GateId* cone_begin = cone_pins_.data() + cone_pin_offset_[below];
+      const GateId* cone_end = cone_pins_.data() + cone_pin_offset_[below + 1];
       const GateId* pins = compiled_->fanin(dom);
       const int count = static_cast<int>(compiled_->fanin_count(dom));
       for (int q = 0; q < count; ++q) {
-        if (in_cone(source, pins[q])) continue;
+        if (std::find(cone_begin, cone_end, pins[q]) != cone_end) continue;
         seeds.push_back(make_literal(pins[q], neutral_one));
       }
     }
@@ -451,21 +554,24 @@ NecessaryAssignments ImplicationEngine::necessary_assignments(
 
 NecessaryAssignments ImplicationEngine::justification_assignments(
     GateId line, bool value) const {
-  return close_over({make_literal(line, value)});
+  const Literal lit = make_literal(line, value);
+  return close_over({&lit, 1});
 }
 
 NecessaryAssignments ImplicationEngine::close_over(
-    std::vector<Literal> seeds) const {
+    std::span<const Literal> seeds) const {
   NecessaryAssignments out;
-  std::vector<Tri> values;
-  if (!propagate(seeds, values)) {
+  Probe probe = make_probe();
+  if (!assume(probe, seeds)) {
     out.contradictory = true;
     return out;
   }
-  for (GateId id = 0; id < static_cast<GateId>(n_); ++id) {
-    if (base_[id] == Tri::kX && values[id] != Tri::kX) {
-      out.literals.push_back(make_literal(id, values[id] == Tri::kOne));
-    }
+  // The trail holds each set line once; sorted by line, it gives the
+  // literals in order.
+  std::sort(probe.trail.begin(), probe.trail.end());
+  out.literals.reserve(probe.trail.size());
+  for (const GateId id : probe.trail) {
+    out.literals.push_back(make_literal(id, probe.values[id] == Tri::kOne));
   }
   return out;
 }

@@ -30,11 +30,21 @@
 //
 // Everything here reasons about the GOOD machine only — implied values
 // hold for every input pattern, so every verdict is sound under any
-// single-fault hypothesis. Memory is O(node_count^2 / 8) for the fanout
-// cone bitsets: built for ATPG-scale circuits, like PODEM itself.
+// single-fault hypothesis.
+//
+// Cost. Every closure is output-sensitive: a caller-owned Probe keeps a
+// value array equal to the baked-in constants between probes, records each
+// line a probe sets on a trail (the assignment stack of PODEM and of SAT
+// solvers), reads the closure off that trail and restores only those
+// lines. A probe costs the lines it sets and the pins they touch, never a
+// scan of all node_count() lines; the one-shot necessary_assignments() and
+// justification_assignments() make their own probe, one copy of the
+// constants per call. Memory is O(node_count * max fanin + learned
+// edges); nothing is quadratic in node_count.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "analyze/analyze.hpp"
@@ -75,7 +85,8 @@ class ImplicationEngine {
  public:
   /// Build the implication graph: seed constants, run the learning sweep
   /// (implied constants + indirect implications), compute dominators and
-  /// fanout cones. The compiled view must outlive the engine.
+  /// which dominator side inputs each gate's cone feeds. The compiled
+  /// view must outlive the engine.
   explicit ImplicationEngine(const circuit::CompiledCircuit& compiled);
 
   [[nodiscard]] const circuit::CompiledCircuit& compiled() const noexcept {
@@ -86,10 +97,35 @@ class ImplicationEngine {
   /// (a superset of what tied-constant propagation alone proves).
   [[nodiscard]] LineValue constant(circuit::GateId id) const;
 
+  /// Number of learned indirect implications (edges over all literals).
+  [[nodiscard]] std::size_t learned_edge_count() const;
+
+  /// Caller-owned scratch for output-sensitive closures. Between probes
+  /// `values` equals the baked-in constants; a probe records every line it
+  /// sets on `trail`, in propagation order, and restore() resets exactly
+  /// those lines. The engine itself stays immutable, so threads sharing
+  /// one engine each own their Probe.
+  struct Probe {
+    std::vector<sim::Tri> values;
+    std::vector<circuit::GateId> queue;
+    std::vector<circuit::GateId> trail;
+  };
+
+  /// A probe whose values equal the baked-in constants.
+  [[nodiscard]] Probe make_probe() const;
+
   /// Assume `assumptions` on top of the baked-in constants and run the
   /// implication closure (forward/backward gate rules plus learned
-  /// indirect implications). `values` is resized to node_count() and
-  /// overwritten with the closure. Returns false on contradiction.
+  /// indirect implications). Returns false on contradiction. Either way
+  /// probe.trail lists the lines set so far and probe.values holds their
+  /// values; call restore() before the next probe.
+  bool assume(Probe& probe, std::span<const Literal> assumptions) const;
+
+  /// Reset every line on the trail to its baked-in value; clear the trail.
+  void restore(Probe& probe) const;
+
+  /// Dense form of assume(): `values` becomes the whole closure
+  /// (node_count() entries). Returns false on contradiction.
   bool propagate(const std::vector<Literal>& assumptions,
                  std::vector<sim::Tri>& values) const;
 
@@ -111,14 +147,11 @@ class ImplicationEngine {
       circuit::GateId id) const;
 
   /// True when `target` lies in the transitive fanout cone of `source`
-  /// (source itself included).
+  /// (source itself included). A walk from `source` that never enters a
+  /// gate at or above the target's level: O(node_count) time and memory
+  /// per call, for oracles and tests rather than inner loops.
   [[nodiscard]] bool in_cone(circuit::GateId source,
-                             circuit::GateId target) const {
-    return (cone_[static_cast<std::size_t>(source) * cone_stride_ +
-                  target / 64] >>
-            (target % 64) &
-            1u) != 0;
-  }
+                             circuit::GateId target) const;
 
   // ---- necessary assignments ----
 
@@ -144,23 +177,22 @@ class ImplicationEngine {
       circuit::GateId line, bool value) const;
 
  private:
-  /// Worklist state of one propagation (reused via caller-owned buffers).
-  bool set_value(std::vector<sim::Tri>& values,
-                 std::vector<circuit::GateId>& queue, circuit::GateId id,
-                 sim::Tri value) const;
-  bool examine(std::vector<sim::Tri>& values,
-               std::vector<circuit::GateId>& queue,
-               circuit::GateId id) const;
-  bool drain(std::vector<sim::Tri>& values,
-             std::vector<circuit::GateId>& queue) const;
+  /// The worklist steps of one closure, all on the probe's buffers.
+  bool set_value(Probe& probe, circuit::GateId id, sim::Tri value) const;
+  bool examine(Probe& probe, circuit::GateId id) const;
+  bool drain(Probe& probe) const;
 
   void build_base();
-  void build_cones();
   void build_dominators();
+  void build_cone_pins();
   void learn();
-  /// One constants round: probe every free literal, bake contradictions
-  /// into base_ as implied constants. Returns true when base_ changed.
-  bool sweep_constants();
+  /// The direct closure of every free literal, as learning keeps it.
+  struct Closures;
+  /// One pass over every free literal: probe it, record a consistent
+  /// closure in `closures` (when non-null) and, when `bake` is set, bake a
+  /// contradictory literal's opposite value into base_ (and the probe) as
+  /// an implied constant. Returns true when base_ changed.
+  bool sweep(Probe& probe, bool bake, Closures* closures);
 
   /// Nearest common dominator of two processed nodes (CHK intersect,
   /// walking idom chains by rank toward the sink).
@@ -169,7 +201,7 @@ class ImplicationEngine {
 
   /// Collect the closure of `seeds` into a NecessaryAssignments record.
   [[nodiscard]] NecessaryAssignments close_over(
-      std::vector<Literal> seeds) const;
+      std::span<const Literal> seeds) const;
 
   const circuit::CompiledCircuit* compiled_;
   std::size_t n_ = 0;
@@ -181,16 +213,18 @@ class ImplicationEngine {
   /// literals it forces that no local gate rule derives.
   std::vector<std::vector<Literal>> learned_;
 
-  /// Fanout-cone bitsets, cone_stride_ words per gate.
-  std::vector<std::uint64_t> cone_;
-  std::size_t cone_stride_ = 0;
-
   /// Dominators: immediate dominator per gate (sink_ = virtual sink id,
   /// kNoGate = unreachable), processing rank for chain walks.
   circuit::GateId sink_ = 0;
   std::vector<circuit::GateId> idom_;
   std::vector<std::uint32_t> rank_;
   std::vector<char> reachable_;
+
+  /// Per gate g whose immediate dominator d is AND/OR-like: the distinct
+  /// fanins of d that lie in g's fanout cone (g itself included), in
+  /// CSR form — cone_pins_[cone_pin_offset_[g] .. cone_pin_offset_[g+1]).
+  std::vector<std::uint32_t> cone_pin_offset_;
+  std::vector<circuit::GateId> cone_pins_;
 };
 
 }  // namespace lsiq::analyze

@@ -113,9 +113,11 @@ RedundancyReport identify_redundancies(const ImplicationEngine& engine) {
   // For each fanout stem s and polarity v, the closure of s = v kills the
   // faults whose necessary assignments it negates. A fault killed under
   // BOTH polarities needs s = 0 and s = 1 at once: redundant.
+  // The closure of each stem literal is read off the probe's trail: the
+  // lines it set beyond the implied constants, in propagation order.
   std::vector<std::uint32_t> killed_zero(fault_count, kNoStamp);
   std::vector<std::uint32_t> killed_one(fault_count, kNoStamp);
-  std::vector<Tri> closure;
+  ImplicationEngine::Probe probe = engine.make_probe();
   std::vector<std::uint32_t> hit;  // faults killed under the current stem
   for (GateId stem = 0; stem < n; ++stem) {
     if (compiled.fanout_count(stem) < 2) continue;
@@ -123,18 +125,16 @@ RedundancyReport identify_redundancies(const ImplicationEngine& engine) {
     hit.clear();
     bool closed_both = true;
     for (const bool one : {false, true}) {
-      if (!engine.propagate({make_literal(stem, one)}, closure)) {
+      const Literal lit = make_literal(stem, one);
+      if (!engine.assume(probe, {&lit, 1})) {
+        engine.restore(probe);
         closed_both = false;  // implied constant the round cap missed
         break;
       }
       std::vector<std::uint32_t>& killed = one ? killed_one : killed_zero;
-      for (GateId line = 0; line < n; ++line) {
-        if (closure[line] == Tri::kX ||
-            engine.constant(line) != LineValue::kUnknown) {
-          continue;
-        }
+      for (const GateId line : probe.trail) {
         const Literal forced =
-            make_literal(line, closure[line] == Tri::kOne);
+            make_literal(line, probe.values[line] == Tri::kOne);
         for (const std::uint32_t index : killed_by[forced]) {
           if (killed[index] != stem) {
             killed[index] = stem;
@@ -142,6 +142,7 @@ RedundancyReport identify_redundancies(const ImplicationEngine& engine) {
           }
         }
       }
+      engine.restore(probe);
     }
     if (!closed_both) continue;
     for (const std::uint32_t index : hit) {

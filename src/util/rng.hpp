@@ -3,8 +3,8 @@
 //
 // Why not <random>: the standard distributions are not reproducible across
 // library implementations, and the Monte-Carlo experiments (virtual chip
-// lots, random patterns) must produce bit-identical tables on any toolchain
-// so that EXPERIMENTS.md stays meaningful. The generator is xoshiro256**
+// lots, random patterns) must produce bit-identical tables on any toolchain,
+// so a seed names one table everywhere. The generator is xoshiro256**
 // seeded through SplitMix64, and every sampler is implemented here.
 #pragma once
 

@@ -3,13 +3,22 @@
 // necessary assignments, and the stem-dominator / fanout-cone machinery.
 // The dominator tests are table-driven with EXACT expected chains — the
 // sets, not just membership — so a traversal-order bug cannot hide behind
-// a superset.
+// a superset. in_cone is checked against a transitive closure computed
+// independently, necessary_seeds against its definition, and the learned
+// products on generator circuits are pinned.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "analyze/implication.hpp"
+#include "analyze/redundancy.hpp"
 #include "circuit/compiled.hpp"
+#include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
 #include "fault/fault.hpp"
 #include "sim/logic_value.hpp"
@@ -314,6 +323,205 @@ TEST(Implication, UnreachableGatesAreReportedAsSuch) {
   EXPECT_FALSE(engine.reaches_observed(dead));
   EXPECT_EQ(engine.immediate_dominator(dead), kNoGate);
   EXPECT_TRUE(engine.dominators(dead).empty());
+}
+
+// ---- fanout cones and necessary seeds against their definitions ----
+
+/// The circuits the cone checks sweep: small generator circuits (the scan
+/// accumulator's flip-flops stop cones) and random DAGs.
+std::vector<std::pair<std::string, Circuit>> cone_circuits() {
+  std::vector<std::pair<std::string, Circuit>> circuits;
+  circuits.emplace_back("c17", circuit::make_c17());
+  circuits.emplace_back("alu4", circuit::make_alu(4));
+  circuits.emplace_back("rot8", circuit::make_barrel_rotator(8));
+  circuits.emplace_back("acc8", circuit::make_scan_accumulator(8));
+  for (const std::uint64_t seed : {3u, 11u, 29u}) {
+    circuit::RandomDagSpec spec;
+    spec.inputs = 10;
+    spec.gates = 120;
+    spec.seed = seed;
+    circuits.emplace_back("dag" + std::to_string(seed),
+                          circuit::make_random_dag(spec));
+  }
+  return circuits;
+}
+
+/// reach[s][t] = 1 when a fault effect on s reaches t: the reflexive
+/// transitive closure of the Circuit's fanout lists, with every edge into
+/// a flip-flop cut (a scan capture). Built source by source with a plain
+/// worklist, sharing no code with the engine.
+std::vector<std::vector<char>> reference_cones(const Circuit& c) {
+  const std::size_t n = c.gate_count();
+  std::vector<std::vector<char>> reach(n, std::vector<char>(n, 0));
+  for (GateId s = 0; s < n; ++s) {
+    std::vector<GateId> work{s};
+    reach[s][s] = 1;
+    while (!work.empty()) {
+      const GateId id = work.back();
+      work.pop_back();
+      for (const GateId reader : c.gate(id).fanout) {
+        if (c.gate(reader).type == GateType::kDff || reach[s][reader] != 0) {
+          continue;
+        }
+        reach[s][reader] = 1;
+        work.push_back(reader);
+      }
+    }
+  }
+  return reach;
+}
+
+TEST(Implication, InConeMatchesAnIndependentTransitiveClosure) {
+  for (const auto& [label, c] : cone_circuits()) {
+    SCOPED_TRACE(label);
+    const circuit::CompiledCircuit compiled(c);
+    const ImplicationEngine engine(compiled);
+    const std::vector<std::vector<char>> reach = reference_cones(c);
+    std::size_t pairs_in_cone = 0;
+    for (GateId s = 0; s < c.gate_count(); ++s) {
+      for (GateId t = 0; t < c.gate_count(); ++t) {
+        ASSERT_EQ(engine.in_cone(s, t), reach[s][t] != 0)
+            << c.gate(s).name << " -> " << c.gate(t).name;
+        pairs_in_cone += reach[s][t] != 0 ? 1 : 0;
+      }
+    }
+    EXPECT_GT(pairs_in_cone, c.gate_count()) << "no cone beyond the diagonal";
+  }
+}
+
+TEST(Implication, NecessarySeedsMatchTheirDefinition) {
+  // The definition, spelled out with the public oracles: activation, the
+  // reading gate's other pins non-controlling (branch faults), and every
+  // AND/OR dominator's fanins outside the source's cone (in_cone, checked
+  // above) non-controlling. DFF D-pin branches stop at activation.
+  const auto and_like = [](GateType t) {
+    return t == GateType::kAnd || t == GateType::kNand;
+  };
+  const auto or_like = [](GateType t) {
+    return t == GateType::kOr || t == GateType::kNor;
+  };
+  for (const auto& [label, c] : cone_circuits()) {
+    SCOPED_TRACE(label);
+    const circuit::CompiledCircuit compiled(c);
+    const ImplicationEngine engine(compiled);
+    std::size_t side_seeds = 0;
+    for (GateId g = 0; g < c.gate_count(); ++g) {
+      std::vector<fault::Fault> faults = {{g, -1, false}, {g, -1, true}};
+      for (std::int32_t pin = 0;
+           pin < static_cast<std::int32_t>(c.gate(g).fanin.size()); ++pin) {
+        faults.push_back({g, pin, false});
+        faults.push_back({g, pin, true});
+      }
+      for (const fault::Fault& f : faults) {
+        const GateType type = c.gate(g).type;
+        std::vector<Literal> expected = {
+            make_literal(fault::fault_line(compiled, f), !f.stuck_at_one)};
+        if (fault::is_stem(f) || type != GateType::kDff) {
+          if (!fault::is_stem(f) && (and_like(type) || or_like(type))) {
+            for (std::size_t q = 0; q < c.gate(g).fanin.size(); ++q) {
+              if (static_cast<std::int32_t>(q) == f.pin) continue;
+              expected.push_back(
+                  make_literal(c.gate(g).fanin[q], and_like(type)));
+            }
+          }
+          for (const GateId dom : engine.dominators(g)) {
+            const GateType dom_type = c.gate(dom).type;
+            if (!and_like(dom_type) && !or_like(dom_type)) continue;
+            for (const GateId pin : c.gate(dom).fanin) {
+              if (engine.in_cone(g, pin)) continue;
+              expected.push_back(make_literal(pin, and_like(dom_type)));
+              ++side_seeds;
+            }
+          }
+        }
+        std::sort(expected.begin(), expected.end());
+        expected.erase(std::unique(expected.begin(), expected.end()),
+                       expected.end());
+        ASSERT_EQ(engine.necessary_seeds(f), expected)
+            << fault::fault_name(c, f);
+      }
+    }
+    if (label != "c17") {
+      EXPECT_GT(side_seeds, 0u) << "no dominator side input";
+    }
+  }
+}
+
+// ---- the engine's products, pinned on generator circuits ----
+
+struct ProductsCase {
+  const char* label;
+  Circuit circuit;
+  std::size_t learned_edges;
+  std::size_t constant_lines;  ///< tied and implied
+  std::size_t redundant_sites;
+};
+
+TEST(Implication, LearnedProductsArePinnedOnGeneratorCircuits) {
+  std::vector<ProductsCase> table;
+  table.push_back({"mult16", circuit::make_array_multiplier(16), 1516, 0, 0});
+  table.push_back({"alu4", circuit::make_alu(4), 670, 0, 0});
+  table.push_back(
+      {"csa16/4", circuit::make_carry_select_adder(16, 4), 252, 9, 30});
+  for (const ProductsCase& row : table) {
+    SCOPED_TRACE(row.label);
+    const circuit::CompiledCircuit compiled(row.circuit);
+    const ImplicationEngine engine(compiled);
+    EXPECT_EQ(engine.learned_edge_count(), row.learned_edges);
+    std::size_t constants = 0;
+    for (GateId id = 0; id < compiled.node_count(); ++id) {
+      constants += engine.constant(id) != LineValue::kUnknown ? 1 : 0;
+    }
+    EXPECT_EQ(constants, row.constant_lines);
+    EXPECT_EQ(identify_redundancies(engine).sites.size(), row.redundant_sites);
+  }
+}
+
+TEST(Implication, Mult64LearningKeepsOnlyTheLowestLinesOfALongClosure) {
+  // The one generator circuit whose learning meets a closure longer than
+  // the per-literal store cap: the edge count pins which lines were kept.
+  const Circuit c = circuit::make_array_multiplier(64);
+  const circuit::CompiledCircuit compiled(c);
+  const ImplicationEngine engine(compiled);
+  EXPECT_EQ(engine.learned_edge_count(), 24473u);
+}
+
+TEST(Implication, ProbeRestoresEveryLineAfterAContradiction) {
+  // y = AND(a, NOT a) is constant 0, so assuming b = 1 together with
+  // y = 1 contradicts after b (and more) are set. restore() must put the
+  // probe back to the baked-in constants, and the next closure must be
+  // unaffected by the failed one.
+  Circuit c("probe");
+  const GateId a = c.add_input("a");
+  const GateId b = c.add_input("b");
+  const GateId na = c.add_gate(GateType::kNot, {a}, "na");
+  const GateId y = c.add_gate(GateType::kAnd, {a, na}, "y");
+  const GateId z = c.add_gate(GateType::kOr, {b, y}, "z");
+  c.mark_output(z);
+  c.finalize();
+  const circuit::CompiledCircuit compiled(c);
+  const ImplicationEngine engine(compiled);
+  ASSERT_EQ(engine.constant(y), LineValue::kZero);
+
+  ImplicationEngine::Probe probe = engine.make_probe();
+  const std::vector<Tri> base = probe.values;
+  const std::vector<Literal> doomed = {make_literal(b, true),
+                                       make_literal(y, true)};
+  EXPECT_FALSE(engine.assume(probe, doomed));
+  EXPECT_FALSE(probe.trail.empty());
+  engine.restore(probe);
+  EXPECT_EQ(probe.values, base);
+  EXPECT_TRUE(probe.trail.empty());
+  EXPECT_TRUE(probe.queue.empty());
+
+  const Literal z0 = make_literal(z, false);
+  ASSERT_TRUE(engine.assume(probe, {&z0, 1}));
+  std::vector<GateId> set = probe.trail;
+  std::sort(set.begin(), set.end());
+  EXPECT_EQ(set, (std::vector<GateId>{b, z}));
+  EXPECT_EQ(probe.values[b], Tri::kZero);
+  engine.restore(probe);
+  EXPECT_EQ(probe.values, base);
 }
 
 }  // namespace

@@ -487,6 +487,36 @@ TEST(ServiceProtocol, ErrorResponsesCarryTheTaxonomy) {
 
 // ---- socket round trip ----
 
+/// Runs SocketServer::serve() on its own thread and joins it on every exit
+/// path: when a test leaves early (a failed ASSERT, an exception) the
+/// destructor stops the server first, so the failure is reported instead
+/// of terminating on a joinable thread.
+class ServingThread {
+ public:
+  explicit ServingThread(SocketServer& server)
+      : server_(server), thread_([this] {
+          try {
+            server_.serve();
+          } catch (const std::exception& error) {
+            ADD_FAILURE() << "serve() threw: " << error.what();
+          }
+        }) {}
+  ~ServingThread() {
+    if (!thread_.joinable()) return;
+    server_.stop();
+    thread_.join();
+  }
+  ServingThread(const ServingThread&) = delete;
+  ServingThread& operator=(const ServingThread&) = delete;
+
+  /// Wait for serve() to return after a shutdown or drain request.
+  void join() { thread_.join(); }
+
+ private:
+  SocketServer& server_;
+  std::thread thread_;
+};
+
 TEST_F(ServiceTest, SocketServerRoundTrip) {
   const std::string socket = (dir_ / "flowd.sock").string();
   ServiceOptions options = lane1_options();
@@ -501,7 +531,7 @@ TEST_F(ServiceTest, SocketServerRoundTrip) {
   };
 
   auto server = std::make_unique<SocketServer>(service, socket);
-  std::thread serving([&] { server->serve(); });
+  ServingThread serving(*server);
 
   {
     SocketClient client(socket);
@@ -575,7 +605,7 @@ TEST_F(ServiceTest, AcceptFailpointDropsConnectionNotDaemon) {
   const std::string socket = (dir_ / "flowd.sock").string();
   FlowService service(lane1_options());
   SocketServer server(service, socket);
-  std::thread serving([&] { server.serve(); });
+  ServingThread serving(server);
 
   util::Failpoints::instance().arm_from_string(
       "service.accept=error(io,1)");
@@ -604,7 +634,7 @@ TEST_F(ServiceTest, OverMaxConnectionsGetsStructuredQueueFullRefusal) {
   SocketServerOptions server_options;
   server_options.max_connections = 1;
   SocketServer server(service, socket, server_options);
-  std::thread serving([&] { server.serve(); });
+  ServingThread serving(server);
 
   {
     // The first client claims the only slot (the answered ping proves
@@ -629,12 +659,14 @@ TEST_F(ServiceTest, OverMaxConnectionsGetsStructuredQueueFullRefusal) {
   for (int attempt = 0;; ++attempt) {
     ASSERT_LT(attempt, 2000) << "slot never released";
     SocketClient client(socket);
-    client.send_line("{\"op\":\"shutdown\"}");
     std::string line;
     try {
+      client.send_line("{\"op\":\"shutdown\"}");
       line = client.read_line();
     } catch (const IoError&) {
-      continue;  // refused-and-closed before the request line landed
+      // Refused and closed before the request line landed: the write
+      // fails with a broken pipe, or the read sees EOF.
+      continue;
     }
     if (line.find("\"error_code\":\"queue_full\"") != std::string::npos) {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
@@ -652,7 +684,7 @@ TEST_F(ServiceTest, IdleConnectionGetsStructuredDeadlineRefusal) {
   SocketServerOptions server_options;
   server_options.idle_timeout_ms = 50;
   SocketServer server(service, socket, server_options);
-  std::thread serving([&] { server.serve(); });
+  ServingThread serving(server);
 
   {
     // Connect and send nothing: the idle timer answers with a
@@ -681,7 +713,7 @@ TEST_F(ServiceTest, AcceptFailpointDoesNotLeakAConnectionSlot) {
   SocketServerOptions server_options;
   server_options.max_connections = 1;
   SocketServer server(service, socket, server_options);
-  std::thread serving([&] { server.serve(); });
+  ServingThread serving(server);
 
   // The failpoint fires after accept() but before the slot claim; the
   // dropped connection must not consume the single slot.
