@@ -1,7 +1,9 @@
 // Performance suite for the simulation substrate (google-benchmark):
 // compiled parallel-pattern logic simulation, event-driven simulation,
-// serial vs PPSFP vs multi-threaded PPSFP fault simulation, PODEM, and the
-// static analyzer (structural pass, implication prover, testability).
+// serial vs PPSFP vs multi-threaded PPSFP fault simulation, the other
+// consumers of the PPSFP block driver (BIST signatures, the fault
+// dictionary, transition compaction), PODEM, and the static analyzer
+// (structural pass, implication prover, testability).
 //
 // The headline ablation is serial vs PPSFP vs PPSFP-MT: parallel-pattern
 // single-fault propagation with fault dropping on the compiled netlist —
@@ -21,13 +23,16 @@
 #include "analyze/implication.hpp"
 #include "analyze/redundancy.hpp"
 #include "analyze/testability.hpp"
+#include "bist/session.hpp"
 #include "circuit/compiled.hpp"
 #include "circuit/generators.hpp"
+#include "fault/dictionary.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/strobe.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/parallel_sim.hpp"
+#include "tpg/atpg.hpp"
 #include "tpg/lfsr.hpp"
 #include "tpg/podem.hpp"
 #include "util/rng.hpp"
@@ -214,6 +219,63 @@ void BM_FaultSim_GradeProgressive(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultSim_GradeProgressive)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond)->MinTime(0.25);
+
+void BM_Bist_Session(benchmark::State& state) {
+  // The BIST job shape of the bist_aliasing sweep
+  // (tools/specs/sweeps/bist_aliasing_k8_512.spec): mult8, 512 LFSR
+  // patterns, an 8-bit MISR, every class graded on every block without
+  // dropping, on one lane.
+  const circuit::Circuit c = circuit::make_array_multiplier(8);
+  const fault::FaultList faults = fault::FaultList::full_universe(c);
+  bist::BistConfig config;
+  config.pattern_count = 512;
+  config.lfsr_seed = 29;
+  config.misr_width = 8;
+  config.num_threads = 1;
+  const bist::BistSession session(faults, config);
+  for (auto _ : state) {
+    const bist::BistResult r = session.run();
+    benchmark::DoNotOptimize(r.signature_coverage);
+  }
+  state.SetLabel("mult8 x 512 patterns, k = 8, 1 lane");
+}
+BENCHMARK(BM_Bist_Session)->Unit(benchmark::kMillisecond);
+
+void BM_Dictionary_Build(benchmark::State& state) {
+  // The full pass/fail dictionary: one row word per (class, block), no
+  // dropping.
+  const circuit::Circuit c = circuit::make_array_multiplier(8);
+  const fault::FaultList faults = fault::FaultList::full_universe(c);
+  const sim::PatternSet patterns =
+      tpg::lfsr_patterns(c.pattern_inputs().size(), 512, 29);
+  for (auto _ : state) {
+    const fault::FaultDictionary d =
+        fault::FaultDictionary::build(faults, patterns);
+    benchmark::DoNotOptimize(d.class_count());
+  }
+  state.SetLabel("mult8 x 512 patterns");
+}
+BENCHMARK(BM_Dictionary_Build)->Unit(benchmark::kMillisecond);
+
+void BM_Atpg_CompactTransition(benchmark::State& state) {
+  // Pair-aware compaction of the uncompacted program that
+  // tools/specs/sweeps/mult16_tr_atpg.spec generates: one no-drop grade
+  // of the whole transition universe, recording last detections.
+  const circuit::Circuit c = circuit::make_array_multiplier(16);
+  const fault::FaultList faults = fault::FaultList::transition_universe(c);
+  tpg::AtpgOptions options;
+  options.random_patterns = 256;
+  options.seed = 1981;
+  const sim::PatternSet program = tpg::generate_tests(faults, options).patterns;
+  for (auto _ : state) {
+    const sim::PatternSet compacted =
+        tpg::reverse_order_compact(faults, program);
+    benchmark::DoNotOptimize(compacted.size());
+  }
+  state.SetLabel("mult16 transition ATPG, " + std::to_string(program.size()) +
+                 " patterns");
+}
+BENCHMARK(BM_Atpg_CompactTransition)->Unit(benchmark::kMillisecond);
 
 void BM_Podem_PerFault(benchmark::State& state) {
   // Arg 0 = plain PODEM, arg 1 = implication-assisted. The engine is

@@ -1,7 +1,7 @@
 // The outcome of a graded BIST session — split from session.hpp so
 // consumers of the *result* (the wafer tester's signature-compare mode,
 // report code) do not pull in the session machinery (compiled circuit,
-// pattern store, thread pool) behind it.
+// pattern store, block driver) behind it.
 #pragma once
 
 #include <cstdint>

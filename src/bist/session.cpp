@@ -3,12 +3,9 @@
 #include <algorithm>
 #include <bit>
 
-#include "fault/fault_sim.hpp"
-#include "sim/parallel_sim.hpp"
+#include "fault/block_driver.hpp"
 #include "tpg/lfsr.hpp"
-#include "util/deadline.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lsiq::bist {
 
@@ -24,24 +21,6 @@ std::vector<std::size_t> class_weights(const fault::FaultList& faults) {
     weights[c] = faults.class_size(c);
   }
   return weights;
-}
-
-/// Grading order: every class, sorted by non-increasing fault-site level
-/// (ties in class order) — the resimulation fast path, same rationale as
-/// the PPSFP engines. No fault dropping here: aliasing is a property of
-/// the whole error history, so every class is graded on every block.
-std::vector<std::uint32_t> grading_order(const fault::FaultList& faults,
-                                         const CompiledCircuit& compiled) {
-  std::vector<std::uint32_t> order(faults.class_count());
-  for (std::size_t c = 0; c < order.size(); ++c) {
-    order[c] = static_cast<std::uint32_t>(c);
-  }
-  std::stable_sort(order.begin(), order.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return compiled.level(faults.representatives()[a].gate) >
-                            compiled.level(faults.representatives()[b].gate);
-                   });
-  return order;
 }
 
 }  // namespace
@@ -113,134 +92,101 @@ BistSession::BistSession(const fault::FaultList& faults,
 
 BistResult BistSession::run() const { return run(config_.num_threads); }
 
-BistResult BistSession::run(std::size_t num_threads) const {
-  const fault::FaultList& faults = *faults_;
-  const CompiledCircuit& c = *compiled_;
-  const std::vector<GateId>& points = c.observed_points();
-  const std::size_t point_count = points.size();
-  const Misr misr(config_.misr_width, config_.misr_taps);
+namespace {
 
-  const std::size_t block_count = patterns_.block_count();
-  const auto lanes_in_block = [&](std::size_t b) {
-    return std::min<std::size_t>(64, patterns_.size() - b * 64);
-  };
+/// Signature grading as a block-driver consumer. The MISR is linear, so
+/// each class carries only the signature DIFFERENCE delta = good xor
+/// faulty, driven by the class's error bits: delta stays zero until the
+/// first error, and the class ends signature-detected iff delta != 0
+/// after the last pattern. No fault dropping: aliasing is a property of
+/// the whole error history. For a transition universe the driver's words
+/// are launch-gated, so a slow line corrupts the response stream only on
+/// capture patterns whose predecessor launched the transition.
+struct SignatureGrader : fault::BlockConsumer {
+  static constexpr bool kPointWords = true;
 
-  // Per-class grading state. The MISR is linear, so each class carries
-  // only the signature DIFFERENCE delta = good xor faulty, driven by the
-  // class's error bits: delta stays zero until the first error, and the
-  // class ends signature-detected iff delta != 0 after the last pattern.
-  const std::size_t classes = faults.class_count();
-  std::vector<std::uint64_t> delta(classes, 0);
-  std::vector<std::int64_t> first_error(classes, -1);
-  std::vector<std::int64_t> first_divergence(classes, -1);
+  SignatureGrader(const Misr& register_spec, const CompiledCircuit& compiled,
+                  const sim::PatternSet& program, std::size_t classes)
+      : misr(register_spec),
+        points(compiled.observed_points()),
+        patterns(program),
+        reference(register_spec),
+        delta(classes, 0),
+        first_error(classes, -1),
+        first_divergence(classes, -1) {}
 
-  const std::vector<std::uint32_t> order = grading_order(faults, c);
-
-  util::ThreadPool pool(num_threads);
-  const std::size_t lanes = pool.size();
-  std::vector<fault::Propagator> propagators;
-  propagators.reserve(lanes);
-  for (std::size_t t = 0; t < lanes; ++t) {
-    propagators.emplace_back(compiled_);
+  [[nodiscard]] std::size_t valid_lanes(std::size_t block) const {
+    return std::min<std::size_t>(64, patterns.size() - block * 64);
   }
-  std::vector<std::vector<std::uint64_t>> lane_diffs(lanes);
 
-  // Transition universes gate every per-point error word with the fault
-  // line's launch mask (see fault_model/transition.hpp): a slow line only
-  // corrupts the response stream on capture patterns whose predecessor
-  // launched the transition; everywhere else the faulty chip's outputs —
-  // and hence its signature input — match the good machine. The window is
-  // advanced on the main thread between blocks and read-only in the lanes.
-  const bool transition =
-      faults.model() == fault_model::FaultModel::kTransition;
-  fault_model::TwoPatternWindow window(transition ? c.node_count() : 0);
-
-  // Streamed, block-outer, fault-inner, strided across lanes like
-  // simulate_ppsfp_mt: each block is simulated once, folded into the
-  // reference signature, and graded while its values are live — session
-  // memory is O(node_count), independent of session length. Each class
-  // index is owned by one lane for the whole session (the stride mapping
-  // never changes — no dropping), so every delta / first_* slot has a
-  // single writer and the result is bit-identical for any worker count.
-  sim::ParallelSimulator good_sim(compiled_);
-  Misr reference = misr;
-  for (std::size_t b = 0; b < block_count; ++b) {
-    // Cooperative watchdog checkpoint, once per block (free when no
-    // deadline is active).
-    util::poll_deadline();
-    good_sim.simulate_block(patterns_.block_words(b));
-    const std::vector<std::uint64_t>& good = good_sim.values();
-    const std::size_t valid = lanes_in_block(b);
-    const std::uint64_t block_mask = patterns_.block_mask(b);
-    const std::int64_t base = static_cast<std::int64_t>(b) * 64;
-
+  /// Calling thread: fold the good responses into the reference.
+  void on_block(std::size_t block, const std::vector<std::uint64_t>& good) {
+    const std::size_t valid = valid_lanes(block);
     for (std::size_t p = 0; p < valid; ++p) {
       std::uint64_t compacted = 0;
-      for (std::size_t i = 0; i < point_count; ++i) {
+      for (std::size_t i = 0; i < points.size(); ++i) {
         if ((good[points[i]] >> p) & 1ULL) compacted ^= misr.input_bit(i);
       }
       reference.step(compacted);
     }
+  }
 
-    pool.run([&](std::size_t lane) {
-      if (lane >= order.size()) return;
-      fault::Propagator& propagator = propagators[lane];
-      propagator.begin_block(good);
-      std::vector<std::uint64_t>& diffs = lane_diffs[lane];
-      for (std::size_t i = lane; i < order.size(); i += lanes) {
-        const std::uint32_t cls = order[i];
-        const fault::Fault& rep = faults.representatives()[cls];
-        // Lanes without a launch see good outputs, so a zero launch mask
-        // makes the whole block error-free without any propagation (the
-        // same short-circuit detect_word_transition performs); the
-        // evolution loop below reads diffs[] only where a detect bit
-        // survives, so gating the OR word is gating every point.
-        const std::uint64_t launch =
-            transition ? window.launch_mask(fault_line(c, rep),
-                                            rep.stuck_at_one, good.data())
-                       : ~0ULL;
-        const std::uint64_t detect =
-            launch == 0
-                ? 0
-                : propagator.point_diff_words(rep, good, diffs) & launch;
-        std::uint64_t d = delta[cls];
-        if (d == 0 && detect == 0) continue;  // difference stays zero
-
-        for (std::size_t p = 0; p < valid; ++p) {
-          std::uint64_t compacted = 0;
-          if ((detect >> p) & 1ULL) {
-            for (std::size_t j = 0; j < point_count; ++j) {
-              if ((diffs[j] >> p) & 1ULL) compacted ^= misr.input_bit(j);
-            }
-          }
-          d = misr.next(d, compacted);
-          if (d != 0 && first_divergence[cls] < 0) {
-            first_divergence[cls] = base + static_cast<std::int64_t>(p);
-          }
-        }
-        delta[cls] = d;
-
-        const std::uint64_t masked = detect & block_mask;
-        if (masked != 0 && first_error[cls] < 0) {
-          first_error[cls] = base + std::countr_zero(masked);
+  void visit(std::uint32_t cls, std::size_t block, std::uint64_t word,
+             const std::vector<std::uint64_t>& point_words) {
+    std::uint64_t d = delta[cls];
+    if (d == 0 && word == 0) return;  // difference stays zero
+    const std::int64_t base = static_cast<std::int64_t>(block) * 64;
+    const std::size_t valid = valid_lanes(block);
+    for (std::size_t p = 0; p < valid; ++p) {
+      std::uint64_t compacted = 0;
+      if ((word >> p) & 1ULL) {
+        for (std::size_t j = 0; j < point_words.size(); ++j) {
+          if ((point_words[j] >> p) & 1ULL) compacted ^= misr.input_bit(j);
         }
       }
-    });
-    if (transition) window.advance(good);
+      d = misr.next(d, compacted);
+      if (d != 0 && first_divergence[cls] < 0) {
+        first_divergence[cls] = base + static_cast<std::int64_t>(p);
+      }
+    }
+    delta[cls] = d;
+    if (word != 0 && first_error[cls] < 0) {
+      first_error[cls] = base + std::countr_zero(word);
+    }
   }
+
+  const Misr& misr;
+  const std::vector<GateId>& points;
+  const sim::PatternSet& patterns;
+  Misr reference;
+  /// Per class; each slot is written only by the lane visiting its class.
+  std::vector<std::uint64_t> delta;
+  std::vector<std::int64_t> first_error;
+  std::vector<std::int64_t> first_divergence;
+};
+
+}  // namespace
+
+BistResult BistSession::run(std::size_t num_threads) const {
+  const fault::FaultList& faults = *faults_;
+  const std::size_t classes = faults.class_count();
+  const Misr misr(config_.misr_width, config_.misr_taps);
+  SignatureGrader grader(misr, *compiled_, patterns_, classes);
+  fault::drive_blocks(faults, patterns_, nullptr, compiled_, num_threads, 0,
+                      classes, grader);
 
   // Fold per-class outcomes into the result.
   BistResult result;
   result.pattern_count = patterns_.size();
   result.misr_width = misr.width();
-  result.good_signature = reference.signature();
+  result.good_signature = grader.reference.signature();
   result.fault_signatures.resize(classes);
-  result.first_error_pattern = std::move(first_error);
-  result.first_divergence_pattern = std::move(first_divergence);
+  result.first_error_pattern = std::move(grader.first_error);
+  result.first_divergence_pattern = std::move(grader.first_divergence);
   for (std::size_t cls = 0; cls < classes; ++cls) {
-    result.fault_signatures[cls] = result.good_signature ^ delta[cls];
+    result.fault_signatures[cls] = result.good_signature ^ grader.delta[cls];
     const bool raw = result.first_error_pattern[cls] >= 0;
-    const bool by_signature = delta[cls] != 0;
+    const bool by_signature = grader.delta[cls] != 0;
     if (raw) {
       ++result.raw_detected_classes;
       result.raw_covered_faults += faults.class_size(cls);

@@ -4,9 +4,9 @@
 // The paper's quality model assumes the tester observes every output on
 // every pattern; BIST observes ONE k-bit signature per session. This
 // module measures what that costs. A session runs the configured LFSR
-// program through the compiled parallel-pattern simulator, folds the
-// good-machine responses into the reference signature, and grades every
-// collapsed fault class two ways:
+// program through the PPSFP block driver (fault/block_driver.hpp), folds
+// the good-machine responses into the reference signature, and grades
+// every collapsed fault class two ways:
 //
 //   * raw (full observation)  — some pattern makes some observed point
 //     differ: what simulate_ppsfp would report for the same patterns;
@@ -49,11 +49,13 @@ struct BistConfig {
   /// selects the standard polynomial for the width (see bist::Misr).
   int misr_width = 32;
   std::uint64_t misr_taps = 0;
-  /// Grading worker threads (always a util::ThreadPool, even for 1),
+  /// Grading lanes of the block driver (fault/block_driver.hpp),
   /// following the shared util::resolve_worker_count convention: 0 = one
-  /// per hardware thread, n = exactly n. Every value produces
-  /// bit-identical results (each fault class is owned by exactly one
-  /// lane; nothing is reduced across lanes).
+  /// per hardware thread, n = exactly n. One lane grades on the calling
+  /// thread; more run on a util::ThreadPool built for the run. Every
+  /// value produces bit-identical results (each fault class's state is
+  /// written only by the lane visiting it; nothing is reduced across
+  /// lanes).
   std::size_t num_threads = 1;
 
   /// When non-null, a compiled view of the session's circuit to share

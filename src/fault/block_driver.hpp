@@ -1,0 +1,215 @@
+// The one PPSFP block driver (PPSFP: parallel-pattern single-fault
+// propagation). Every block-by-block grade of a range of collapsed fault
+// classes runs through drive_blocks, and the graders differ only in what
+// they record per class:
+//
+//   * grade_class_range records first detection and drops detected
+//     classes;
+//   * FaultDictionary::build records each block's word in the class's row;
+//   * transition compaction (tpg::reverse_order_compact) records the last
+//     detection;
+//   * bist::BistSession folds each class's MISR signature difference.
+//
+// The driver owns everything they share: one good-machine simulation per
+// 64-pattern block, the live class list in non-increasing fault-site
+// level (the suffix-resimulation fast path), the strobe masks and the
+// wake skip of a non-full schedule, the transition launch window, the
+// per-block deadline and cancel poll, and the lanes. Each lane owns a
+// Propagator synced to the block and takes a strided slice of the live
+// list; one lane runs inline on the calling thread, more run on a pool
+// built for the call.
+#pragma once
+
+#include <algorithm>
+#include <cstdint>
+#include <memory>
+#include <optional>
+#include <vector>
+
+#include "circuit/compiled.hpp"
+#include "fault/fault_list.hpp"
+#include "fault/fault_sim.hpp"
+#include "fault/strobe.hpp"
+#include "fault_model/transition.hpp"
+#include "sim/parallel_sim.hpp"
+#include "sim/pattern.hpp"
+#include "util/deadline.hpp"
+#include "util/error.hpp"
+#include "util/thread_pool.hpp"
+
+namespace lsiq::fault {
+
+/// Per-block strobe lane masks of a schedule, one word per observed point,
+/// or nullptr when the schedule is full (or absent) and masking can be
+/// skipped entirely.
+class ScheduleMasks {
+ public:
+  ScheduleMasks(const StrobeSchedule* schedule, std::size_t point_count)
+      : schedule_(schedule != nullptr && !schedule->is_full() ? schedule
+                                                              : nullptr) {
+    if (schedule != nullptr) {
+      LSIQ_EXPECT(schedule->point_count() == point_count,
+                  "strobe schedule must cover every observed point");
+    }
+    if (schedule_ != nullptr) {
+      masks_.resize(point_count);
+    }
+  }
+
+  /// Masks for one block; nullptr means "everything strobed".
+  const std::vector<std::uint64_t>* for_block(std::size_t block) {
+    if (schedule_ == nullptr) return nullptr;
+    for (std::size_t i = 0; i < masks_.size(); ++i) {
+      masks_[i] = schedule_->lane_mask(i, block);
+    }
+    return &masks_;
+  }
+
+ private:
+  const StrobeSchedule* schedule_;
+  std::vector<std::uint64_t> masks_;
+};
+
+/// Defaults of a drive_blocks consumer; a consumer hides what differs and
+/// adds
+///
+///   void visit(std::uint32_t cls, std::size_t block, std::uint64_t word,
+///              const std::vector<std::uint64_t>& point_words);
+///
+/// which a lane calls once per (live class, block) with the class's detect
+/// word: strobe-masked, launch-gated for a transition universe, and
+/// limited to the block's populated lanes. A class asleep in the block
+/// (see fault_sim.hpp) gets word 0 without a sweep. visit() writes only
+/// the slots of the class it is handed, so the result bytes do not depend
+/// on the lane count or on thread interleaving.
+struct BlockConsumer {
+  /// Drop a class from the live list after the first block in which its
+  /// word is nonzero (fault dropping). The drop fold runs serially, in
+  /// live-list order, after the block's lanes.
+  static constexpr bool kDrops = false;
+  /// Hand visit() the class's per-point words from the same suffix sweep
+  /// as its word (see Propagator::detect_word_resim); they are meaningful
+  /// at the lanes set in the word. Otherwise visit() sees an empty vector.
+  static constexpr bool kPointWords = false;
+  /// Called on the calling thread once per block, before the lanes, with
+  /// the block's good-machine values.
+  void on_block(std::size_t /*block*/,
+                const std::vector<std::uint64_t>& /*good*/) {}
+};
+
+/// Drive classes [class_begin, class_end) of `faults` over every block of
+/// `patterns` through `consumer`, on util::resolve_worker_count(num_threads)
+/// lanes. `schedule`, when given, must cover every observed point;
+/// `compiled` must be a non-null compiled view of faults.circuit(). A
+/// dropping consumer stops once every class has dropped.
+template <class Consumer>
+void drive_blocks(const FaultList& faults, const sim::PatternSet& patterns,
+                  const StrobeSchedule* schedule,
+                  const std::shared_ptr<const circuit::CompiledCircuit>&
+                      compiled,
+                  std::size_t num_threads, std::size_t class_begin,
+                  std::size_t class_end, Consumer& consumer) {
+  LSIQ_EXPECT(compiled != nullptr, "drive_blocks: compiled view required");
+  const circuit::Circuit& circuit = faults.circuit();
+  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
+              "drive_blocks: compiled view does not match the circuit");
+  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
+              "drive_blocks: pattern width does not match circuit");
+  LSIQ_EXPECT(class_begin <= class_end && class_end <= faults.class_count(),
+              "drive_blocks: class range out of bounds");
+  ScheduleMasks strobe_masks(schedule, circuit.observed_points().size());
+  // Once per drive, and only when some point starts late: under full
+  // observation every class is awake from pattern 0.
+  std::vector<std::size_t> wake;
+  if (schedule != nullptr && !schedule->is_full()) {
+    wake = wake_patterns(faults, *compiled, *schedule);
+  }
+  sim::ParallelSimulator good_sim(compiled);
+  const bool transition =
+      faults.model() == fault_model::FaultModel::kTransition;
+  // One launch window, advanced on the calling thread between blocks and
+  // read-only inside a block, so the gating each lane applies is a pure
+  // function of the block index.
+  fault_model::TwoPatternWindow window(
+      transition ? compiled->node_count() : 0);
+
+  // Live list in resimulation order, compacted in place as classes drop.
+  // Suffix resimulation sweeps [site level, depth], so non-increasing site
+  // level (ties in class order) makes each fault's sweep exactly overwrite
+  // what the previous fault dirtied; detect words do not depend on it.
+  std::vector<std::uint32_t> live(class_end - class_begin);
+  for (std::size_t i = 0; i < live.size(); ++i) {
+    live[i] = static_cast<std::uint32_t>(class_begin + i);
+  }
+  std::stable_sort(live.begin(), live.end(),
+                   [&](std::uint32_t a, std::uint32_t b) {
+                     return compiled->level(faults.representatives()[a].gate) >
+                            compiled->level(faults.representatives()[b].gate);
+                   });
+  std::vector<std::uint64_t> words(live.size(), 0);
+
+  // A lane's strided slice keeps the level order, and balances far better
+  // than contiguous chunks, whose per-fault sweep cost varies with site
+  // level.
+  const std::size_t lanes = util::resolve_worker_count(num_threads);
+  std::vector<Propagator> propagators;
+  propagators.reserve(lanes);
+  for (std::size_t t = 0; t < lanes; ++t) {
+    propagators.emplace_back(compiled);
+  }
+  std::vector<std::vector<std::uint64_t>> point_words(lanes);
+  std::optional<util::ThreadPool> pool;
+  if (lanes > 1) pool.emplace(lanes);
+
+  for (std::size_t b = 0; b < patterns.block_count(); ++b) {
+    if (Consumer::kDrops && live.empty()) break;
+    // Cooperative watchdog checkpoint on the calling thread, once per
+    // 64-pattern block (free when no deadline is active).
+    util::poll_deadline();
+    good_sim.simulate_block(patterns.block_words(b));
+    const std::vector<std::uint64_t>& good = good_sim.values();
+    const std::uint64_t mask = patterns.block_mask(b);
+    const std::vector<std::uint64_t>* point_masks = strobe_masks.for_block(b);
+    const std::size_t block_end = (b + 1) * 64;
+    consumer.on_block(b, good);
+
+    const std::size_t live_count = live.size();
+    const auto lane_body = [&](std::size_t lane) {
+      if (lane >= live_count) return;
+      Propagator& propagator = propagators[lane];
+      propagator.begin_block(good);
+      std::vector<std::uint64_t>* points =
+          Consumer::kPointWords ? &point_words[lane] : nullptr;
+      for (std::size_t i = lane; i < live_count; i += lanes) {
+        const std::uint32_t cls = live[i];
+        std::uint64_t word = 0;
+        if (wake.empty() || wake[cls] < block_end) {
+          const Fault& rep = faults.representatives()[cls];
+          word = (transition ? propagator.detect_word_transition(
+                                   rep, good, window, point_masks, points)
+                             : propagator.detect_word_resim(
+                                   rep, good, point_masks, points)) &
+                 mask;
+        }
+        words[i] = word;
+        consumer.visit(cls, b, word, point_words[lane]);
+      }
+    };
+    if (pool.has_value()) {
+      pool->run(lane_body);
+    } else {
+      lane_body(0);
+    }
+
+    if (Consumer::kDrops) {
+      std::size_t kept = 0;
+      for (std::size_t i = 0; i < live_count; ++i) {
+        if (words[i] == 0) live[kept++] = live[i];
+      }
+      live.resize(kept);
+    }
+    if (transition) window.advance(good);
+  }
+}
+
+}  // namespace lsiq::fault

@@ -4,66 +4,39 @@
 #include <bit>
 #include <map>
 
-#include "fault/fault_sim.hpp"
-#include "sim/parallel_sim.hpp"
+#include "fault/block_driver.hpp"
 #include "util/error.hpp"
 
 namespace lsiq::fault {
 
-using circuit::Circuit;
+namespace {
+
+/// Each block's word lands in its class's row, dropping nothing.
+struct RowWriter : BlockConsumer {
+  std::vector<std::vector<std::uint64_t>>& rows;
+
+  void visit(std::uint32_t cls, std::size_t block, std::uint64_t word,
+             const std::vector<std::uint64_t>& /*point_words*/) {
+    rows[cls][block] = word;
+  }
+};
+
+}  // namespace
 
 FaultDictionary FaultDictionary::build(const FaultList& faults,
                                        const sim::PatternSet& patterns,
                                        const StrobeSchedule* schedule) {
-  const Circuit& circuit = faults.circuit();
-  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
-              "FaultDictionary: pattern width does not match circuit");
   LSIQ_EXPECT(!patterns.empty(), "FaultDictionary: empty pattern set");
-  if (schedule != nullptr) {
-    LSIQ_EXPECT(schedule->point_count() == circuit.observed_points().size(),
-                "FaultDictionary: schedule must cover every observed point");
-  }
-
   FaultDictionary dictionary;
   dictionary.pattern_count_ = patterns.size();
   dictionary.signatures_.assign(
       faults.class_count(),
       std::vector<std::uint64_t>(patterns.block_count(), 0));
-
-  sim::ParallelSimulator good_sim(circuit);
-  Propagator propagator(good_sim.compiled());
-  // Transition universes: per-class signatures are launch-gated pair
-  // detections, so diagnosis over a transition dictionary matches chips
-  // failing on delay defects.
-  const bool transition =
-      faults.model() == fault_model::FaultModel::kTransition;
-  fault_model::TwoPatternWindow window(
-      transition ? good_sim.compiled()->node_count() : 0);
-  for (std::size_t b = 0; b < patterns.block_count(); ++b) {
-    good_sim.simulate_block(patterns.block_words(b));
-    propagator.begin_block(good_sim.values());
-    const std::uint64_t lane_mask = patterns.block_mask(b);
-    std::vector<std::uint64_t> point_masks;
-    const std::vector<std::uint64_t>* masks = nullptr;
-    if (schedule != nullptr && !schedule->is_full()) {
-      point_masks.resize(circuit.observed_points().size());
-      for (std::size_t i = 0; i < point_masks.size(); ++i) {
-        point_masks[i] = schedule->lane_mask(i, b);
-      }
-      masks = &point_masks;
-    }
-    for (std::size_t c = 0; c < faults.class_count(); ++c) {
-      const Fault& rep = faults.representatives()[c];
-      const std::uint64_t word =
-          (transition
-               ? propagator.detect_word_transition(rep, good_sim.values(),
-                                                   window, masks)
-               : propagator.detect_word(rep, good_sim.values(), masks)) &
-          lane_mask;
-      dictionary.signatures_[c][b] = word;
-    }
-    if (transition) window.advance(good_sim.values());
-  }
+  RowWriter rows{{}, dictionary.signatures_};
+  drive_blocks(faults, patterns, schedule,
+               std::make_shared<const circuit::CompiledCircuit>(
+                   faults.circuit()),
+               1, 0, faults.class_count(), rows);
   return dictionary;
 }
 

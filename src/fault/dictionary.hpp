@@ -5,9 +5,10 @@
 // precomputed dictionary that vector identifies which fault (class) is on
 // the chip — the classic post-test diagnosis flow. Included because a
 // production-quality release of this system is expected to close the loop
-// from "chip failed" to "where", and because the dictionary doubles as an
-// independent check of the fault simulator (every signature is rederived
-// per fault without dropping).
+// from "chip failed" to "where". Every row is graded per fault without
+// dropping, on the PPSFP block driver (fault/block_driver.hpp) that also
+// grades first detection, so its first set bits must equal the fault
+// simulator's first detections.
 #pragma once
 
 #include <cstdint>
@@ -24,7 +25,9 @@ class FaultDictionary {
   /// Build the full pass/fail dictionary: for every collapsed fault class,
   /// the bit vector over patterns ("signature") with bit t set when
   /// pattern t detects the class. No fault dropping — the whole program is
-  /// graded for every fault. Optionally under a strobe schedule.
+  /// graded for every fault, on one lane of the block driver. Optionally
+  /// under a strobe schedule, which must cover every observed point. A
+  /// transition universe's rows are launch-gated pair detections.
   static FaultDictionary build(const FaultList& faults,
                                const sim::PatternSet& patterns,
                                const StrobeSchedule* schedule = nullptr);

@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <bit>
 #include <cassert>
-#include <optional>
 
+#include "fault/block_driver.hpp"
 #include "sim/parallel_sim.hpp"
 #include "util/deadline.hpp"
 #include "util/error.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lsiq::fault {
 
@@ -122,15 +121,11 @@ bool Propagator::resolve_site(const Fault& fault, const std::uint64_t* good,
   // it is captured directly at that flip-flop's pseudo primary output,
   // whose index the compiled view keeps per gate (no flip_flops() scan).
   if (!is_stem(fault) && c.type(fault.gate) == GateType::kDff) {
+    const std::uint32_t point = c.point_index(fault.gate);
+    LSIQ_EXPECT(point != CompiledCircuit::kNoPoint,
+                "resolve_site: DFF gate has no scan-capture point");
     const std::uint64_t diff = sv_word ^ good[c.fanin(fault.gate)[0]];
-    if (point_masks == nullptr) {
-      *result = diff;
-    } else {
-      const std::uint32_t point = c.point_index(fault.gate);
-      LSIQ_EXPECT(point != CompiledCircuit::kNoPoint,
-                  "resolve_site: DFF gate has no scan-capture point");
-      *result = diff & (*point_masks)[point];
-    }
+    *result = point_masks == nullptr ? diff : diff & (*point_masks)[point];
     return true;
   }
 
@@ -215,16 +210,24 @@ std::uint64_t Propagator::detect_word(
 
 std::uint64_t Propagator::detect_word_resim(
     const Fault& fault, const std::vector<std::uint64_t>& good_values,
-    const std::vector<std::uint64_t>* point_masks) {
+    const std::vector<std::uint64_t>* point_masks,
+    std::vector<std::uint64_t>* point_words) {
   check_sync(good_values, "detect_word_resim");
   const CompiledCircuit& c = *compiled_;
   const std::uint64_t* good = good_values.data();
+  const auto& points = c.observed_points();
+  if (point_words != nullptr) point_words->assign(points.size(), 0);
 
   // Site evaluation reads the caller's good array (always clean; work_ may
   // hold the previous fault's machine at levels >= dirty_level_).
   std::uint64_t resolved = 0;
   std::uint64_t faulty_site = 0;
   if (resolve_site(fault, good, point_masks, &resolved, &faulty_site)) {
+    // Only a DFF D-pin capture resolves to a nonzero word; its whole
+    // difference lands on that flip-flop's pseudo primary output.
+    if (point_words != nullptr && resolved != 0) {
+      (*point_words)[c.point_index(fault.gate)] = resolved;
+    }
     return resolved;
   }
 
@@ -251,7 +254,6 @@ std::uint64_t Propagator::detect_word_resim(
   // Observation: untouched points satisfy work == good, so the diff is 0
   // without any reached-set bookkeeping.
   std::uint64_t detect = 0;
-  const auto& points = c.observed_points();
   if (point_masks == nullptr) {
     for (std::size_t i = 0; i < points.size(); ++i) {
       detect |= work[points[i]] ^ good[points[i]];
@@ -259,6 +261,12 @@ std::uint64_t Propagator::detect_word_resim(
   } else {
     for (std::size_t i = 0; i < points.size(); ++i) {
       detect |= (work[points[i]] ^ good[points[i]]) & (*point_masks)[i];
+    }
+  }
+  if (point_words != nullptr) {
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      (*point_words)[i] = (work[points[i]] ^ good[points[i]]) &
+                          (point_masks == nullptr ? ~0ULL : (*point_masks)[i]);
     }
   }
   if (site_is_source) {
@@ -270,60 +278,13 @@ std::uint64_t Propagator::detect_word_resim(
 std::uint64_t Propagator::detect_word_transition(
     const Fault& fault, const std::vector<std::uint64_t>& good,
     const fault_model::TwoPatternWindow& window,
-    const std::vector<std::uint64_t>* point_masks) {
+    const std::vector<std::uint64_t>* point_masks,
+    std::vector<std::uint64_t>* point_words) {
   check_sync(good, "detect_word_transition");
   const std::uint64_t launch = window.launch_mask(
       fault_line(*compiled_, fault), fault.stuck_at_one, good.data());
   if (launch == 0) return 0;  // no lane launched: capture cannot matter
-  return detect_word_resim(fault, good, point_masks) & launch;
-}
-
-std::uint64_t Propagator::point_diff_words(
-    const Fault& fault, const std::vector<std::uint64_t>& good_values,
-    std::vector<std::uint64_t>& diffs) {
-  check_sync(good_values, "point_diff_words");
-  const CompiledCircuit& c = *compiled_;
-  const std::uint64_t* good = good_values.data();
-  const auto& points = c.observed_points();
-  diffs.assign(points.size(), 0);
-
-  std::uint64_t resolved = 0;
-  std::uint64_t faulty_site = 0;
-  if (resolve_site(fault, good, nullptr, &resolved, &faulty_site)) {
-    // Either the fault effect never appears at the site (resolved == 0,
-    // all diffs stay zero) or this is a DFF D-pin capture whose whole
-    // difference lands on that flip-flop's pseudo primary output.
-    if (resolved != 0) {
-      const std::uint32_t point = c.point_index(fault.gate);
-      LSIQ_EXPECT(point != CompiledCircuit::kNoPoint,
-                  "point_diff_words: DFF gate has no scan-capture point");
-      diffs[point] = resolved;
-    }
-    return resolved;
-  }
-
-  // Same suffix sweep as detect_word_resim (see there for the dirty-level
-  // bookkeeping); only the observation differs — per point instead of OR.
-  const GateId site = fault.gate;
-  const std::size_t site_level = c.level(site);
-  const std::size_t start_level = std::min(site_level, dirty_level_);
-  std::uint64_t* work = work_.data();
-  work[site] = faulty_site;
-  c.eval_suffix(start_level, work, site);
-  dirty_level_ = site_level;
-  const bool site_is_source =
-      c.type(site) == GateType::kInput || c.type(site) == GateType::kDff;
-
-  std::uint64_t detect = 0;
-  for (std::size_t i = 0; i < points.size(); ++i) {
-    const std::uint64_t diff = work[points[i]] ^ good[points[i]];
-    diffs[i] = diff;
-    detect |= diff;
-  }
-  if (site_is_source) {
-    work[site] = good[site];
-  }
-  return detect;
+  return detect_word_resim(fault, good, point_masks, point_words) & launch;
 }
 
 namespace {
@@ -390,69 +351,6 @@ std::uint64_t observe_difference(const Circuit& circuit, const Fault& fault,
     detect |= diff;
   }
   return detect;
-}
-
-/// Per-block strobe lane masks, or nullptr when the schedule is full (or
-/// absent) and masking can be skipped entirely.
-class ScheduleMasks {
- public:
-  ScheduleMasks(const Circuit& circuit, const StrobeSchedule* schedule)
-      : schedule_(schedule != nullptr && !schedule->is_full() ? schedule
-                                                              : nullptr) {
-    if (schedule != nullptr) {
-      LSIQ_EXPECT(schedule->point_count() ==
-                      circuit.observed_points().size(),
-                  "strobe schedule must cover every observed point");
-    }
-    if (schedule_ != nullptr) {
-      masks_.resize(circuit.observed_points().size());
-    }
-  }
-
-  /// Masks for one block; nullptr means "everything strobed".
-  const std::vector<std::uint64_t>* for_block(std::size_t block) {
-    if (schedule_ == nullptr) return nullptr;
-    for (std::size_t i = 0; i < masks_.size(); ++i) {
-      masks_[i] = schedule_->lane_mask(i, block);
-    }
-    return &masks_;
-  }
-
- private:
-  const StrobeSchedule* schedule_;
-  std::vector<std::uint64_t> masks_;
-};
-
-/// Live-fault work list for the PPSFP engines: every class index in
-/// [class_begin, class_end), sorted by non-increasing fault-site level
-/// (ties in class order). Suffix resimulation sweeps [site level, depth],
-/// so this order makes each fault's sweep exactly overwrite what the
-/// previous fault dirtied — detect words are order-independent, only the
-/// sweep start depends on it.
-std::vector<std::uint32_t> sorted_live_list(const FaultList& faults,
-                                            const CompiledCircuit& compiled,
-                                            std::size_t class_begin,
-                                            std::size_t class_end) {
-  std::vector<std::uint32_t> live(class_end - class_begin);
-  for (std::size_t c = 0; c < live.size(); ++c) {
-    live[c] = static_cast<std::uint32_t>(class_begin + c);
-  }
-  std::stable_sort(live.begin(), live.end(),
-                   [&](std::uint32_t a, std::uint32_t b) {
-                     return compiled.level(faults.representatives()[a].gate) >
-                            compiled.level(faults.representatives()[b].gate);
-                   });
-  return live;
-}
-
-/// True when class `c` sleeps through a block that ends at pattern
-/// `block_end`: no point in its cone is strobed before then, so its masked
-/// detect word is 0 by construction. The grading loop leaves a sleeping
-/// class live and ungraded. `wake` is empty under full observation, where
-/// nothing sleeps.
-bool asleep(const std::vector<std::size_t>& wake, std::uint32_t c,
-            std::size_t block_end) {
-  return !wake.empty() && wake[c] >= block_end;
 }
 
 }  // namespace
@@ -535,7 +433,7 @@ FaultSimResult simulate_serial(const FaultList& faults,
   const Circuit& circuit = faults.circuit();
   LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
               "simulate_serial: pattern width does not match circuit");
-  ScheduleMasks strobe_masks(circuit, schedule);
+  ScheduleMasks strobe_masks(schedule, circuit.observed_points().size());
   const bool transition =
       faults.model() == fault_model::FaultModel::kTransition;
 
@@ -597,108 +495,36 @@ std::uint64_t detect_word_for_fault(
   return propagator.detect_word(fault, good_values, point_masks);
 }
 
+namespace {
+
+/// First-detection grading: record the first detecting pattern and drop
+/// the class.
+struct FirstDetection : BlockConsumer {
+  static constexpr bool kDrops = true;
+  std::vector<std::int64_t>& first_detection;
+
+  void visit(std::uint32_t cls, std::size_t block, std::uint64_t word,
+             const std::vector<std::uint64_t>& /*point_words*/) {
+    if (word != 0) {
+      first_detection[cls] =
+          static_cast<std::int64_t>(block * 64 + std::countr_zero(word));
+    }
+  }
+};
+
+}  // namespace
+
 void grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
     const std::shared_ptr<const CompiledCircuit>& compiled,
     std::size_t num_threads, std::size_t class_begin, std::size_t class_end,
     std::vector<std::int64_t>& first_detection) {
-  LSIQ_EXPECT(compiled != nullptr,
-              "grade_class_range: compiled view required");
-  const Circuit& circuit = faults.circuit();
-  LSIQ_EXPECT(compiled->node_count() == circuit.gate_count(),
-              "grade_class_range: compiled view does not match the circuit");
-  LSIQ_EXPECT(patterns.input_count() == circuit.pattern_inputs().size(),
-              "grade_class_range: pattern width does not match circuit");
-  LSIQ_EXPECT(class_begin <= class_end && class_end <= faults.class_count(),
-              "grade_class_range: class range out of bounds");
   LSIQ_EXPECT(first_detection.size() == faults.class_count(),
               "grade_class_range: first_detection must cover every class");
-  ScheduleMasks strobe_masks(circuit, schedule);
-  // Once per grade, and only when some point starts late: under full
-  // observation every class is awake from pattern 0.
-  std::vector<std::size_t> wake;
-  if (schedule != nullptr && !schedule->is_full()) {
-    wake = wake_patterns(faults, *compiled, *schedule);
-  }
-  sim::ParallelSimulator good_sim(compiled);
-  const bool transition =
-      faults.model() == fault_model::FaultModel::kTransition;
-  // One launch window, advanced on the calling thread between blocks and
-  // read-only inside a block, so the gating each lane applies is a pure
-  // function of the block index — thread-count independence holds.
-  fault_model::TwoPatternWindow window(
-      transition ? compiled->node_count() : 0);
-
-  // Live list in resimulation order, compacted in place as faults drop.
-  std::vector<std::uint32_t> live =
-      sorted_live_list(faults, *compiled, class_begin, class_end);
-
-  // Each lane owns a Propagator and takes a strided slice of the live
-  // list — still non-increasing in site level (the resim fast path), and
-  // far better balanced than contiguous chunks, whose per-fault sweep
-  // cost varies with site level. Detect words land in one slot per live
-  // entry and are folded into first_detection serially, so the result
-  // bytes do not depend on the lane count or thread interleaving. One
-  // lane runs inline on the calling thread; more run on a pool.
-  const std::size_t lanes = util::resolve_worker_count(num_threads);
-  std::vector<Propagator> propagators;
-  propagators.reserve(lanes);
-  for (std::size_t t = 0; t < lanes; ++t) {
-    propagators.emplace_back(compiled);
-  }
-  std::optional<util::ThreadPool> pool;
-  if (lanes > 1) pool.emplace(lanes);
-  std::vector<std::uint64_t> detects(live.size(), 0);
-
-  for (std::size_t b = 0; b < patterns.block_count() && !live.empty(); ++b) {
-    // Cooperative watchdog checkpoint on the calling thread, once per
-    // 64-pattern block (free when no deadline is active).
-    util::poll_deadline();
-    good_sim.simulate_block(patterns.block_words(b));
-    const std::vector<std::uint64_t>& good = good_sim.values();
-    const std::uint64_t mask = patterns.block_mask(b);
-    const std::vector<std::uint64_t>* point_masks = strobe_masks.for_block(b);
-    const std::size_t block_end = (b + 1) * 64;
-
-    const std::size_t live_count = live.size();
-    const auto grade_lane = [&](std::size_t lane) {
-      if (lane >= live_count) return;
-      Propagator& propagator = propagators[lane];
-      propagator.begin_block(good);
-      for (std::size_t i = lane; i < live_count; i += lanes) {
-        if (asleep(wake, live[i], block_end)) {
-          detects[i] = 0;
-          continue;
-        }
-        const Fault& rep = faults.representatives()[live[i]];
-        detects[i] =
-            (transition
-                 ? propagator.detect_word_transition(rep, good, window,
-                                                     point_masks)
-                 : propagator.detect_word_resim(rep, good, point_masks)) &
-            mask;
-      }
-    };
-    if (pool.has_value()) {
-      pool->run(grade_lane);
-    } else {
-      grade_lane(0);
-    }
-
-    // Per-block fault-drop compaction, in live-list order.
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < live_count; ++i) {
-      if (detects[i] != 0) {
-        first_detection[live[i]] = static_cast<std::int64_t>(
-            b * 64 + std::countr_zero(detects[i]));
-      } else {
-        live[kept++] = live[i];
-      }
-    }
-    live.resize(kept);
-    if (transition) window.advance(good);
-  }
+  FirstDetection consumer{{}, first_detection};
+  drive_blocks(faults, patterns, schedule, compiled, num_threads, class_begin,
+               class_end, consumer);
 }
 
 namespace {

@@ -17,17 +17,21 @@
 //   * simulate_ppsfp — parallel-pattern single-fault propagation, the
 //     production engine (same family of techniques as the paper's LAMP
 //     runs): good-machine simulation once per 64-pattern block, then for
-//     each still-undetected fault an event-driven faulty re-simulation
-//     forward from the fault site only, with fault dropping. Runs on the
-//     compiled netlist (circuit/compiled.hpp), not the pointer-per-pin
-//     Circuit container.
+//     each still-undetected fault a levelized suffix resimulation forward
+//     from the fault site, with fault dropping. Runs on the compiled
+//     netlist (circuit/compiled.hpp), not the pointer-per-pin Circuit
+//     container.
 //
-//   * simulate_ppsfp_mt — the same computation fanned out over a
-//     persistent worker pool: each thread owns a Propagator and grades a
+//   * simulate_ppsfp_mt — the same computation fanned out over a worker
+//     pool built for the grade: each thread owns a Propagator and grades a
 //     strided slice of the live-fault list per block (stride keeps the
 //     per-lane work balanced, since per-fault cost varies with fault-site
 //     level). Per-fault detect words do not depend on evaluation order,
 //     so the result is bit-identical to simulate_ppsfp.
+//
+// Both PPSFP engines run on the one block driver (fault/block_driver.hpp),
+// which the fault dictionary, transition compaction and BIST signature
+// grading share.
 //
 // All return, per collapsed fault class, the index of the first pattern
 // that detects it — the raw material for coverage curves (Section 5) and
@@ -86,11 +90,11 @@ struct FaultSimResult {
   void finalize(const FaultList& faults);
 };
 
-/// Event-driven faulty-machine propagation over one 64-pattern block — the
-/// PPSFP inner loop, exposed as a reusable handle. Construction allocates
-/// O(gate_count) scratch; detect_word() reuses it across faults via epoch
-/// stamping, so one Propagator should be kept alive for a whole grading
-/// run (the fault dictionary and ATPG confirmation loops do exactly that).
+/// Faulty-machine propagation over one 64-pattern block — the PPSFP inner
+/// loop, exposed as a reusable handle. Construction allocates
+/// O(gate_count) scratch that every detect call reuses, so one Propagator
+/// should be kept alive for a whole grading run (the block driver's lanes
+/// and the ATPG confirmation loops do exactly that).
 class Propagator {
  public:
   /// Compiles the circuit privately; prefer the shared-view constructor
@@ -132,10 +136,17 @@ class Propagator {
   /// wins when effects die near the site. Fastest when consecutive calls
   /// are ordered by non-increasing site level — any order is correct, but
   /// an out-of-order call pays an extra prefix sweep to clear stale state.
-  std::uint64_t detect_word_resim(const Fault& fault,
-                                  const std::vector<std::uint64_t>& good,
-                                  const std::vector<std::uint64_t>*
-                                      point_masks = nullptr);
+  ///
+  /// `point_words`, when non-null, is resized to observed_points().size()
+  /// and receives per point the lanes in which that point sees the fault,
+  /// masked like the detect word, which is their OR. They come from the
+  /// same sweep. Signature compaction (bist::) needs the per-point
+  /// structure the OR throws away: two errors reaching one MISR stage in
+  /// the same cycle cancel.
+  std::uint64_t detect_word_resim(
+      const Fault& fault, const std::vector<std::uint64_t>& good,
+      const std::vector<std::uint64_t>* point_masks = nullptr,
+      std::vector<std::uint64_t>* point_words = nullptr);
 
   /// Two-pattern transition kernel: the detect word of the matching
   /// capture stuck-at fault (suffix resimulation, same contract as
@@ -144,23 +155,14 @@ class Propagator {
   /// fault in the fault_model encoding (stuck_at_one == slow-to-fall);
   /// `window` must be tracking the same block sequence as begin_block —
   /// advance() it only after every fault of the block is graded. A fault
-  /// with no launched lane skips capture simulation entirely.
+  /// with no launched lane skips capture simulation entirely. The
+  /// `point_words` are the capture fault's, meaningful at the lanes set in
+  /// the returned word.
   std::uint64_t detect_word_transition(
       const Fault& fault, const std::vector<std::uint64_t>& good,
       const fault_model::TwoPatternWindow& window,
-      const std::vector<std::uint64_t>* point_masks = nullptr);
-
-  /// Per-point difference words for one fault over the current block:
-  /// resizes `diffs` to observed_points().size() and sets bit p of
-  /// diffs[i] when pattern p of the block makes point i differ from the
-  /// good machine; returns the OR over points (exactly detect_word's
-  /// result with full observability). Signature compaction (bist::) needs
-  /// the per-point structure the OR throws away — two errors reaching one
-  /// MISR stage in the same cycle cancel. Suffix-resimulation kernel;
-  /// same begin_block and call-ordering contract as detect_word_resim.
-  std::uint64_t point_diff_words(const Fault& fault,
-                                 const std::vector<std::uint64_t>& good,
-                                 std::vector<std::uint64_t>& diffs);
+      const std::vector<std::uint64_t>* point_masks = nullptr,
+      std::vector<std::uint64_t>* point_words = nullptr);
 
   [[nodiscard]] const std::shared_ptr<const circuit::CompiledCircuit>&
   compiled() const noexcept {
@@ -238,12 +240,13 @@ FaultSimResult simulate_ppsfp_mt(
 /// `first_detection`, which must already be sized faults.class_count()
 /// and hold -1 for every class not yet graded; no other entry is touched.
 /// `compiled` must be a non-null view of faults.circuit().
-/// The range grades on util::resolve_worker_count(num_threads) lanes: one
-/// lane runs on the calling thread, more on a worker pool. The bits
-/// written are identical for every lane count and every range split —
-/// per-class detect words are pure functions of the patterns. This is
-/// where the wake vector of a non-full schedule is built and sleeping
-/// classes are skipped (see the header comment).
+/// The range grades on util::resolve_worker_count(num_threads) lanes of
+/// the block driver (fault/block_driver.hpp): one lane runs on the calling
+/// thread, more on a worker pool built for the call. The bits written are
+/// identical for every lane count and every range split — per-class
+/// detect words are pure functions of the patterns. The driver builds the
+/// wake vector of a non-full schedule and skips sleeping classes (see the
+/// header comment).
 void grade_class_range(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule,
@@ -262,7 +265,7 @@ inline constexpr std::size_t kNeverWakes =
 /// scan capture, so it wakes at that point's start. Every schedule point
 /// stays strobed from its start onward, so one reverse-level pass over
 /// `compiled` (a compiled view of faults.circuit()) computes all of them;
-/// the schedule must cover every observed point. grade_class_range builds
+/// the schedule must cover every observed point. The block driver builds
 /// this vector once per grade when the schedule is not full.
 std::vector<std::size_t> wake_patterns(const FaultList& faults,
                                        const circuit::CompiledCircuit&

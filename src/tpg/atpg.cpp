@@ -5,8 +5,10 @@
 #include <optional>
 
 #include "analyze/implication.hpp"
+#include "fault/block_driver.hpp"
 #include "fault_model/transition.hpp"
 #include "sim/parallel_sim.hpp"
+#include "util/deadline.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -92,6 +94,8 @@ AtpgResult generate_stuck_at_tests(const FaultList& faults,
   std::size_t redundant_faults = 0;  // weighted by class size
   for (std::size_t c = 0; c < faults.class_count(); ++c) {
     if (detected[c] != 0) continue;
+    // Cooperative deadline/cancel checkpoint, once per PODEM target.
+    util::poll_deadline();
     const Fault& target = faults.representatives()[c];
     const PodemResult podem = generate_test(circuit, target, podem_options);
     result.total_backtracks += podem.backtracks;
@@ -200,6 +204,8 @@ AtpgResult generate_transition_tests(const FaultList& faults,
   std::size_t redundant_faults = 0;  // weighted by class size
   for (std::size_t c = 0; c < faults.class_count(); ++c) {
     if (detected[c] != 0) continue;
+    // Cooperative deadline/cancel checkpoint, once per PODEM target.
+    util::poll_deadline();
     const Fault& target = faults.representatives()[c];
     const TransitionTestResult test =
         generate_transition_test(circuit, target, podem_options);
@@ -285,6 +291,20 @@ PatternSet compact_stuck_at(const FaultList& faults,
   return out;
 }
 
+/// Transition compaction's record of each class's LAST detecting capture
+/// index, dropping nothing.
+struct LastDetection : fault::BlockConsumer {
+  std::vector<std::int64_t>& last_detection;
+
+  void visit(std::uint32_t cls, std::size_t block, std::uint64_t word,
+             const std::vector<std::uint64_t>& /*point_words*/) {
+    if (word != 0) {
+      const auto last = 63 - static_cast<std::size_t>(std::countl_zero(word));
+      last_detection[cls] = static_cast<std::int64_t>(block * 64 + last);
+    }
+  }
+};
+
 /// Pair-aware compaction for two-pattern (transition) programs. Reversing
 /// the program would scramble every launch/capture pair, so the reverse
 /// pass works on PAIRS instead: grade the whole program once (no
@@ -294,36 +314,17 @@ PatternSet compact_stuck_at(const FaultList& faults,
 /// survives; seams between kept pairs can only add detections.
 PatternSet compact_transition(const FaultList& faults,
                               const PatternSet& patterns) {
-  const circuit::Circuit& circuit = faults.circuit();
-
   // The reverse greedy below keeps exactly the pair at each class's LAST
   // detecting capture index, so one O(class_count) vector of last
   // detections — updated as the forward grading pass walks the blocks —
   // carries everything the selection needs (no classes-by-blocks
   // detection matrix).
-  sim::ParallelSimulator good_sim(circuit);
-  fault::Propagator propagator(good_sim.compiled());
-  fault_model::TwoPatternWindow window(
-      propagator.compiled()->node_count());
   std::vector<std::int64_t> last_detection(faults.class_count(), -1);
-  for (std::size_t b = 0; b < patterns.block_count(); ++b) {
-    good_sim.simulate_block(patterns.block_words(b));
-    const std::vector<std::uint64_t>& good = good_sim.values();
-    propagator.begin_block(good);
-    const std::uint64_t mask = patterns.block_mask(b);
-    for (std::size_t c = 0; c < faults.class_count(); ++c) {
-      const std::uint64_t word =
-          propagator.detect_word_transition(faults.representatives()[c],
-                                            good, window) &
-          mask;
-      if (word != 0) {
-        last_detection[c] = static_cast<std::int64_t>(
-            b * 64 + (63 - static_cast<std::size_t>(
-                               std::countl_zero(word))));
-      }
-    }
-    window.advance(good);
-  }
+  LastDetection consumer{{}, last_detection};
+  fault::drive_blocks(faults, patterns, nullptr,
+                      std::make_shared<const circuit::CompiledCircuit>(
+                          faults.circuit()),
+                      1, 0, faults.class_count(), consumer);
 
   // Keep both halves of each selected pair. A capture index is always
   // >= 1: pattern 0 has no launch (the window masks lane 0 of block 0).

@@ -3,9 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+
 #include "circuit/generators.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault_model/universe.hpp"
+#include "util/deadline.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace lsiq::tpg {
@@ -287,6 +291,43 @@ TEST(Compaction, TransitionAtpgProgramCompactsWithoutCoverageLoss) {
       reverse_order_compact(faults, r.patterns);
   EXPECT_LE(compacted.size(), r.patterns.size());
   EXPECT_DOUBLE_EQ(simulate_ppsfp(faults, compacted).coverage, before);
+}
+
+// ---- cooperative cancellation ----
+//
+// A batch --deadline-ms or a daemon `cancel` unwinds a run at its next
+// util::poll_deadline() checkpoint. With the random phase off, the first
+// checkpoint generation can reach is the PODEM survivor loop itself.
+
+TEST(Atpg, CancelledRunStopsAtTheFirstPodemTarget) {
+  const Circuit c = circuit::make_alu(2);
+  const FaultList faults = FaultList::full_universe(c);
+  AtpgOptions options;
+  options.random_patterns = 0;
+  std::atomic<bool> cancelled{true};
+  const util::CancelScope scope(cancelled);
+  EXPECT_THROW(generate_tests(faults, options), CancelledError);
+}
+
+TEST(TransitionAtpg, CancelledRunStopsAtTheFirstPodemTarget) {
+  const Circuit c = circuit::make_alu(2);
+  const FaultList faults = FaultList::transition_universe(c);
+  AtpgOptions options;
+  options.random_patterns = 0;
+  std::atomic<bool> cancelled{true};
+  const util::CancelScope scope(cancelled);
+  EXPECT_THROW(generate_tests(faults, options), CancelledError);
+}
+
+TEST(Compaction, CancelledTransitionCompactionStopsAtTheFirstBlock) {
+  const Circuit c = circuit::make_alu(2);
+  const FaultList faults = FaultList::transition_universe(c);
+  util::Rng rng(5);
+  sim::PatternSet patterns(c.pattern_inputs().size());
+  patterns.append_random(100, rng);
+  std::atomic<bool> cancelled{true};
+  const util::CancelScope scope(cancelled);
+  EXPECT_THROW(reverse_order_compact(faults, patterns), CancelledError);
 }
 
 }  // namespace

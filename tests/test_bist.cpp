@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "bist/misr.hpp"
@@ -26,8 +27,11 @@ using fault::FaultList;
 /// Independent reimplementation of signature grading: per-point error
 /// words isolated with the EVENT-DRIVEN kernel (detect_word under a
 /// one-point strobe mask — a different code path from the session's
-/// suffix-resimulation point_diff_words), folded through a Misr stepped
-/// pattern by pattern. Returns the faulty end-of-session signature.
+/// suffix-resimulation point words), folded through a Misr stepped
+/// pattern by pattern. On a transition universe every error word is gated
+/// by the launch word, computed the way simulate_serial computes it from
+/// the previous block's good values. Returns the faulty end-of-session
+/// signature.
 struct OracleGrading {
   std::uint64_t good_signature = 0;
   std::vector<std::uint64_t> fault_signatures;
@@ -74,19 +78,31 @@ OracleGrading grade_by_hand(const FaultList& faults,
   oracle.fault_signatures.assign(classes, 0);
   oracle.first_error.assign(classes, -1);
 
+  const bool transition =
+      faults.model() == fault_model::FaultModel::kTransition;
   std::vector<std::uint64_t> one_point(point_count, 0);
   for (std::size_t cls = 0; cls < classes; ++cls) {
     const fault::Fault& f = faults.representatives()[cls];
+    const circuit::GateId line = fault::fault_line(c, f);
     std::uint64_t delta = 0;
     for (std::size_t b = 0; b < patterns.block_count(); ++b) {
       propagator.begin_block(good_blocks[b]);
+      std::uint64_t launch = ~0ULL;
+      if (transition) {
+        const std::uint64_t before =
+            (good_blocks[b][line] << 1) |
+            (b > 0 ? good_blocks[b - 1][line] >> 63 : 0);
+        launch = f.stuck_at_one ? before : ~before;
+        if (b == 0) launch &= ~1ULL;  // the first pattern has no launch
+      }
       // Isolate each point's error word with a single-point strobe mask.
       std::vector<std::uint64_t> diffs(point_count, 0);
       std::uint64_t any = 0;
       for (std::size_t i = 0; i < point_count; ++i) {
         one_point.assign(point_count, 0);
         one_point[i] = ~0ULL;
-        diffs[i] = propagator.detect_word(f, good_blocks[b], &one_point);
+        diffs[i] =
+            propagator.detect_word(f, good_blocks[b], &one_point) & launch;
         any |= diffs[i];
       }
       const std::size_t valid = std::min<std::size_t>(
@@ -150,6 +166,36 @@ TEST(BistSession, MatchesIndependentOracleOnSequentialCircuit) {
     EXPECT_EQ(result.fault_signatures[cls], oracle.fault_signatures[cls])
         << fault_name(c, faults.representatives()[cls]);
     EXPECT_EQ(result.first_error_pattern[cls], oracle.first_error[cls]);
+  }
+}
+
+TEST(BistSession, MatchesIndependentOracleOnTransitionUniverses) {
+  // Launch-gated signatures: the scan accumulator's universe holds
+  // flip-flop D-pin faults, whose capture needs no propagation; the ALU is
+  // combinational.
+  for (const Circuit& c :
+       {circuit::make_scan_accumulator(8), circuit::make_alu(3)}) {
+    SCOPED_TRACE(c.name());
+    const FaultList faults = FaultList::transition_universe(c);
+    BistConfig config;
+    config.pattern_count = 150;  // deliberately not a multiple of 64
+    config.lfsr_seed = 5;
+    config.misr_width = 8;
+    const BistSession session(faults, config);
+    const BistResult result = session.run();
+    EXPECT_GT(result.signature_detected_classes, 0u);
+
+    const OracleGrading oracle =
+        grade_by_hand(faults, session.patterns(), Misr(config.misr_width));
+    EXPECT_EQ(result.good_signature, oracle.good_signature);
+    for (std::size_t cls = 0; cls < oracle.fault_signatures.size(); ++cls) {
+      const std::string name = fault_name(c, faults.representatives()[cls],
+                                          fault_model::FaultModel::kTransition);
+      EXPECT_EQ(result.fault_signatures[cls], oracle.fault_signatures[cls])
+          << name;
+      EXPECT_EQ(result.first_error_pattern[cls], oracle.first_error[cls])
+          << name;
+    }
   }
 }
 

@@ -5,6 +5,7 @@
 
 #include "circuit/generators.hpp"
 #include "fault/fault_sim.hpp"
+#include "sim/parallel_sim.hpp"
 #include "tpg/lfsr.hpp"
 #include "util/error.hpp"
 
@@ -12,6 +13,7 @@ namespace lsiq::fault {
 namespace {
 
 using circuit::Circuit;
+using circuit::GateId;
 using sim::PatternSet;
 
 struct Setup {
@@ -146,6 +148,74 @@ TEST(Dictionary, RespectsStrobeSchedule) {
       }
     }
     EXPECT_EQ(first, r.first_detection[cl]);
+  }
+}
+
+/// Every word of every row of the dictionary against a hand loop over the
+/// event-driven kernel (Propagator::detect_word), which the dictionary
+/// does not use. For a transition universe the launch word is computed
+/// the way simulate_serial computes it, from the previous block's good
+/// values.
+void expect_rows_match_event_driven_kernel(const FaultList& faults,
+                                           const PatternSet& patterns,
+                                           const StrobeSchedule* schedule) {
+  const Circuit& c = faults.circuit();
+  const FaultDictionary dictionary =
+      FaultDictionary::build(faults, patterns, schedule);
+  const bool transition =
+      faults.model() == fault_model::FaultModel::kTransition;
+  sim::ParallelSimulator good_sim(c);
+  Propagator propagator(c);
+  std::vector<std::uint64_t> masks(c.observed_points().size(), ~0ULL);
+  std::vector<std::uint64_t> previous(c.gate_count(), 0);
+  for (std::size_t b = 0; b < patterns.block_count(); ++b) {
+    good_sim.simulate_block(patterns.block_words(b));
+    const std::vector<std::uint64_t>& good = good_sim.values();
+    propagator.begin_block(good);
+    if (schedule != nullptr) {
+      for (std::size_t i = 0; i < masks.size(); ++i) {
+        masks[i] = schedule->lane_mask(i, b);
+      }
+    }
+    for (std::size_t cl = 0; cl < faults.class_count(); ++cl) {
+      const Fault& f = faults.representatives()[cl];
+      std::uint64_t word =
+          propagator.detect_word(f, good, &masks) & patterns.block_mask(b);
+      if (transition) {
+        const GateId line = fault_line(c, f);
+        const std::uint64_t before =
+            (good[line] << 1) | (b > 0 ? previous[line] >> 63 : 0);
+        std::uint64_t launch = f.stuck_at_one ? before : ~before;
+        if (b == 0) launch &= ~1ULL;  // the first pattern has no launch
+        word &= launch;
+      }
+      ASSERT_EQ(dictionary.signature(cl)[b], word)
+          << fault_name(c, f, faults.model()) << " block " << b;
+    }
+    previous.assign(good.begin(),
+                    good.begin() + static_cast<std::ptrdiff_t>(c.gate_count()));
+  }
+}
+
+TEST(Dictionary, RowsMatchEventDrivenKernelBitForBit) {
+  const Circuit& c = setup().circuit;
+  {
+    SCOPED_TRACE("stuck-at, full observation");
+    expect_rows_match_event_driven_kernel(setup().faults, setup().patterns,
+                                          nullptr);
+  }
+  {
+    SCOPED_TRACE("stuck-at, progressive strobing");
+    const StrobeSchedule schedule =
+        StrobeSchedule::progressive(c.observed_points().size(), 11);
+    expect_rows_match_event_driven_kernel(setup().faults, setup().patterns,
+                                          &schedule);
+  }
+  {
+    SCOPED_TRACE("transition, full observation");
+    const FaultList transition = FaultList::transition_universe(c);
+    expect_rows_match_event_driven_kernel(transition, setup().patterns,
+                                          nullptr);
   }
 }
 

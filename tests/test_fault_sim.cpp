@@ -440,9 +440,9 @@ TEST(FaultSim, WeightedCoverageUsesClassSizes) {
 }
 
 TEST(FaultSim, PointDiffWordsAgreeWithBothDetectKernels) {
-  // point_diff_words must (a) OR back to exactly the full-observation
-  // detect word and (b) match, per point, what the event-driven kernel
-  // reports under a single-point strobe mask.
+  // The resim kernel's per-point words must (a) OR back to exactly the
+  // full-observation detect word and (b) match, per point, what the
+  // event-driven kernel reports under a single-point strobe mask.
   circuit::RandomDagSpec spec;
   spec.inputs = 12;
   spec.gates = 150;
@@ -464,7 +464,8 @@ TEST(FaultSim, PointDiffWordsAgreeWithBothDetectKernels) {
     resim.begin_block(good);
     wave.begin_block(good);
     for (const Fault& f : faults.representatives()) {
-      const std::uint64_t from_diffs = resim.point_diff_words(f, good, diffs);
+      const std::uint64_t from_diffs =
+          resim.detect_word_resim(f, good, nullptr, &diffs);
       ASSERT_EQ(diffs.size(), point_count);
       std::uint64_t or_of_points = 0;
       for (const std::uint64_t d : diffs) or_of_points |= d;
@@ -487,8 +488,8 @@ TEST(FaultSim, PointDiffWordsRequiresBlockSync) {
   Propagator propagator(c);
   std::vector<std::uint64_t> good(c.gate_count(), 0);
   std::vector<std::uint64_t> diffs;
-  EXPECT_THROW(propagator.point_diff_words(faults.representatives().front(),
-                                           good, diffs),
+  EXPECT_THROW(propagator.detect_word_resim(faults.representatives().front(),
+                                            good, nullptr, &diffs),
                ContractViolation);
 }
 
