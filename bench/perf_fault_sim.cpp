@@ -17,7 +17,20 @@
 //
 //   ./perf_fault_sim --benchmark_out=BENCH_fault_sim.json
 //       --benchmark_out_format=json
+//
+// Rows that grade on more than one thread carry a `lanes` counter, and the
+// JSON context records the host's effective parallelism, measured before
+// the suite runs: tools/perf_gate.py flags rather than fails a threaded
+// row's slowdown when that figure is below 2 on either side.
 #include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "analyze/analyze.hpp"
 #include "analyze/implication.hpp"
@@ -141,6 +154,7 @@ void BM_FaultSim_PpsfpMt(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(faults.class_count()));
+  state.counters["lanes"] = static_cast<double>(threads);
   state.SetLabel(std::string(circuit_name(static_cast<int>(state.range(0)))) +
                  " x " + std::to_string(threads) + " threads");
 }
@@ -165,6 +179,8 @@ void BM_FaultSim_GradeFullProgram(benchmark::State& state) {
                      : simulate_ppsfp_mt(faults, patterns, nullptr, threads);
     benchmark::DoNotOptimize(r.coverage);
   }
+  state.counters["lanes"] =
+      static_cast<double>(std::max<std::size_t>(1, threads));
   state.SetLabel(threads == 0
                      ? "mult16 x 1024 patterns, serial"
                      : "mult16 x 1024 patterns, " + std::to_string(threads) +
@@ -188,6 +204,8 @@ void BM_FaultSim_GradeTransitionProgram(benchmark::State& state) {
                      : simulate_ppsfp_mt(faults, patterns, nullptr, threads);
     benchmark::DoNotOptimize(r.coverage);
   }
+  state.counters["lanes"] =
+      static_cast<double>(std::max<std::size_t>(1, threads));
   state.SetLabel(threads == 0
                      ? "mult16 x 1024 patterns, transition, serial"
                      : "mult16 x 1024 patterns, transition, " +
@@ -219,6 +237,29 @@ void BM_FaultSim_GradeProgressive(benchmark::State& state) {
 }
 BENCHMARK(BM_FaultSim_GradeProgressive)->Arg(16)->Arg(32)->Arg(64)
     ->Unit(benchmark::kMillisecond)->MinTime(0.25);
+
+void BM_FaultSim_GradeDeepRegions(benchmark::State& state) {
+  // The worst case of the site walk inside fanout-free regions: stuck-at,
+  // full observation, 1024 random patterns, one lane, on circuits whose
+  // regions are deep. make_mux_tree(6) is one 190-gate region, and
+  // make_alu(16) has regions far larger than the multiplier's 3 gates.
+  // Arg 0 = mux_tree(6), arg 1 = alu(16).
+  const bool mux = state.range(0) == 0;
+  const circuit::Circuit c =
+      mux ? circuit::make_mux_tree(6) : circuit::make_alu(16);
+  const fault::FaultList faults = fault::FaultList::full_universe(c);
+  util::Rng rng(7);
+  sim::PatternSet patterns(c.pattern_inputs().size());
+  patterns.append_random(1024, rng);
+  for (auto _ : state) {
+    const fault::FaultSimResult r = simulate_ppsfp(faults, patterns);
+    benchmark::DoNotOptimize(r.coverage);
+  }
+  state.SetLabel(std::string(mux ? "mux_tree6" : "alu16") +
+                 " x 1024 random patterns, full observation");
+}
+BENCHMARK(BM_FaultSim_GradeDeepRegions)->Arg(0)->Arg(1)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_Bist_Session(benchmark::State& state) {
   // The BIST job shape of the bist_aliasing sweep
@@ -357,6 +398,48 @@ void BM_Analyze_Testability(benchmark::State& state) {
 }
 BENCHMARK(BM_Analyze_Testability)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
 
+/// Effective parallelism of the host right now: the most that k spinning
+/// threads (k = 2, 4) deliver relative to one, each wall the best of
+/// three — the figure perfbench prints beside every run.
+double effective_parallelism() {
+  using Clock = std::chrono::steady_clock;
+  const auto spin = [](std::size_t threads) {
+    constexpr std::uint64_t kSteps = 10'000'000;
+    double best = 0.0;
+    for (int trial = 0; trial < 3; ++trial) {
+      std::atomic<std::uint64_t> sink{0};
+      const Clock::time_point start = Clock::now();
+      std::vector<std::thread> workers;
+      for (std::size_t t = 0; t < threads; ++t) {
+        workers.emplace_back([&sink, t] {
+          std::uint64_t x = t + 1;
+          for (std::uint64_t i = 0; i < kSteps; ++i) {
+            x = x * 6364136223846793005ULL + 1442695040888963407ULL;
+          }
+          sink.fetch_add(x);
+        });
+      }
+      for (std::thread& worker : workers) worker.join();
+      const double wall =
+          std::chrono::duration<double>(Clock::now() - start).count();
+      best = trial == 0 ? wall : std::min(best, wall);
+    }
+    return best;
+  };
+  const double one = spin(1);
+  return std::max(2 * one / spin(2), 4 * one / spin(4));
+}
+
 }  // namespace
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  benchmark::Initialize(&argc, argv);
+  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  char parallelism[32];
+  std::snprintf(parallelism, sizeof parallelism, "%.2f",
+                effective_parallelism());
+  benchmark::AddCustomContext("effective_parallelism", parallelism);
+  benchmark::RunSpecifiedBenchmarks();
+  benchmark::Shutdown();
+  return 0;
+}

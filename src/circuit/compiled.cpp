@@ -91,6 +91,7 @@ CompiledCircuit::CompiledCircuit(const Circuit& circuit) : source_(&circuit) {
   }
 
   build_program();
+  build_regions();
 }
 
 void CompiledCircuit::build_program() {
@@ -197,6 +198,35 @@ void CompiledCircuit::eval_suffix(std::size_t from_level,
     }
   }
 #undef LSIQ_RUN_LOOP
+}
+
+void CompiledCircuit::build_regions() {
+  const std::size_t n = node_count();
+  std::vector<char> observed(n, 0);
+  for (const GateId point : observed_points_) observed[point] = 1;
+  region_root_.resize(n);
+  reader_pin_.assign(n, -1);
+  // A non-root gate's reader is combinational (a flip-flop reader would
+  // make it a D driver, hence an observed point) and so sits at a strictly
+  // higher level: the reverse evaluation order, then the sources, sees
+  // every reader's root before the gates feeding it.
+  const auto assign = [&](GateId id) {
+    region_root_[id] = id;
+    if (observed[id] != 0 || fanout_count(id) != 1) return;
+    const GateId reader = fanout(id)[0];
+    region_root_[id] = region_root_[reader];
+    const GateId* pins = fanin(reader);
+    std::int32_t pin = 0;
+    while (pins[pin] != id) ++pin;
+    reader_pin_[id] = pin;
+  };
+  for (auto it = eval_order_.rbegin(); it != eval_order_.rend(); ++it) {
+    assign(*it);
+  }
+  for (GateId id = 0; id < n; ++id) {
+    const GateType type = static_cast<GateType>(type_[id]);
+    if (type == GateType::kInput || type == GateType::kDff) assign(id);
+  }
 }
 
 }  // namespace lsiq::circuit

@@ -5,9 +5,10 @@
 // loops that walk it chase a pointer per pin and a bounds-checked accessor
 // per gate. CompiledCircuit freezes the same topology into CSR arrays —
 // one contiguous pin array with per-gate offsets, packed type/level
-// records, the evaluation order with sources stripped, and the
-// observed-point index of every gate — which is what the parallel-pattern
-// simulator and the PPSFP propagator index in their inner loops.
+// records, the evaluation order with sources stripped, the observed-point
+// index of every gate, and its fanout-free region — which is what the
+// parallel-pattern simulator and the PPSFP propagator index in their inner
+// loops.
 //
 // Gate ids are unchanged: arrays are indexed by GateId exactly as Circuit
 // is, so values buffers move between the two representations freely.
@@ -123,6 +124,27 @@ class CompiledCircuit {
     return point_index_of_[id];
   }
 
+  // ---- fanout-free regions ----
+  //
+  // A gate is a region root when it is an observed point or does not drive
+  // exactly one fanin pin (fanout lists repeat a reader once per pin, so a
+  // driver read on two pins of one gate is a root, and so is a gate with no
+  // reader). Every other gate, sources included, drives one pin of one
+  // combinational reader and belongs to that reader's region, so the only
+  // path out of a region runs through its root: what a fault inside it
+  // does to the rest of the circuit is what inverting the root does, in
+  // exactly the lanes where the fault's effect reaches the root.
+
+  /// Root of the fanout-free region holding `id` (`id` itself for a root).
+  [[nodiscard]] GateId region_root(GateId id) const noexcept {
+    return region_root_[id];
+  }
+  /// For a non-root gate, the fanin pin it drives on its one reader,
+  /// fanout(id)[0]; -1 for a root.
+  [[nodiscard]] std::int32_t reader_pin(GateId id) const noexcept {
+    return reader_pin_[id];
+  }
+
   /// The circuit this view was compiled from.
   [[nodiscard]] const Circuit& source() const noexcept { return *source_; }
 
@@ -231,6 +253,7 @@ class CompiledCircuit {
   std::vector<std::uint32_t> fanout_offset_;  ///< size node_count()+1
   std::vector<GateId> fanout_;
   void build_program();
+  void build_regions();
 
   std::vector<GateId> eval_order_;
   std::vector<std::uint32_t> eval_level_begin_;  ///< size depth()+2
@@ -240,6 +263,8 @@ class CompiledCircuit {
   std::vector<GateId> pattern_inputs_;
   std::vector<GateId> observed_points_;
   std::vector<std::uint32_t> point_index_of_;
+  std::vector<GateId> region_root_;
+  std::vector<std::int32_t> reader_pin_;
   std::size_t depth_ = 0;
 };
 

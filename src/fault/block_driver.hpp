@@ -11,13 +11,17 @@
 //   * bist::BistSession folds each class's MISR signature difference.
 //
 // The driver owns everything they share: one good-machine simulation per
-// 64-pattern block, the live class list in non-increasing fault-site
-// level (the suffix-resimulation fast path), the strobe masks and the
-// wake skip of a non-full schedule, the transition launch window, the
-// per-block deadline and cancel poll, and the lanes. Each lane owns a
-// Propagator synced to the block and takes a strided slice of the live
-// list; one lane runs inline on the calling thread, more run on a pool
-// built for the call.
+// 64-pattern block, the live class list grouped by fanout-free region
+// (CompiledCircuit::region_root) in non-increasing root level, the strobe
+// masks and the wake skip of a non-full schedule, the transition launch
+// window, the per-block deadline and cancel poll, and the lanes. Per
+// block and region, each awake class gets its site word (the lanes in
+// which its effect reaches the root, Propagator::site_word), and a region
+// whose site words are not all 0 gets one stem sweep with its root
+// inverted (Propagator::stem_word); a class's detect word is site AND
+// stem. Each lane owns a Propagator synced to the block and takes a
+// strided share of the regions; one lane runs inline on the calling
+// thread, more run on a pool built for the call.
 #pragma once
 
 #include <algorithm>
@@ -87,9 +91,11 @@ struct BlockConsumer {
   /// word is nonzero (fault dropping). The drop fold runs serially, in
   /// live-list order, after the block's lanes.
   static constexpr bool kDrops = false;
-  /// Hand visit() the class's per-point words from the same suffix sweep
-  /// as its word (see Propagator::detect_word_resim); they are meaningful
-  /// at the lanes set in the word. Otherwise visit() sees an empty vector.
+  /// Hand visit() the per-point words of the sweep its word came from:
+  /// the region root's (see Propagator::stem_word), or a flip-flop D-pin
+  /// branch's own capture. They are the class's own at the lanes set in
+  /// the word, and meaningless elsewhere. Otherwise visit() sees an empty
+  /// vector.
   static constexpr bool kPointWords = false;
   /// Called on the calling thread once per block, before the lanes, with
   /// the block's good-machine values.
@@ -133,24 +139,51 @@ void drive_blocks(const FaultList& faults, const sim::PatternSet& patterns,
   fault_model::TwoPatternWindow window(
       transition ? compiled->node_count() : 0);
 
-  // Live list in resimulation order, compacted in place as classes drop.
-  // Suffix resimulation sweeps [site level, depth], so non-increasing site
-  // level (ties in class order) makes each fault's sweep exactly overwrite
-  // what the previous fault dirtied; detect words do not depend on it.
+  // Live list in sweep order, compacted in place as classes drop, and cut
+  // into runs of one region root each: the whole run reads its stem word
+  // off one sweep. Runs come in non-increasing root level, then root id,
+  // with ties in class order, and a lane's strided share keeps that order,
+  // so each sweep exactly overwrites what the lane's previous one dirtied.
+  // Flip-flop D-pin branches have no region (kNoGate) and close the list
+  // as one run that needs no sweep.
+  const auto& reps = faults.representatives();
+  std::vector<circuit::GateId> root(class_end - class_begin);
+  for (std::size_t i = 0; i < root.size(); ++i) {
+    root[i] = fault_region(*compiled, reps[class_begin + i]);
+  }
+  const auto root_of = [&](std::uint32_t cls) {
+    return root[cls - class_begin];
+  };
   std::vector<std::uint32_t> live(class_end - class_begin);
   for (std::size_t i = 0; i < live.size(); ++i) {
     live[i] = static_cast<std::uint32_t>(class_begin + i);
   }
   std::stable_sort(live.begin(), live.end(),
                    [&](std::uint32_t a, std::uint32_t b) {
-                     return compiled->level(faults.representatives()[a].gate) >
-                            compiled->level(faults.representatives()[b].gate);
+                     const circuit::GateId ra = root_of(a);
+                     const circuit::GateId rb = root_of(b);
+                     const std::uint32_t la =
+                         ra == circuit::kNoGate ? 0 : compiled->level(ra);
+                     const std::uint32_t lb =
+                         rb == circuit::kNoGate ? 0 : compiled->level(rb);
+                     return la != lb ? la > lb : ra < rb;
                    });
   std::vector<std::uint64_t> words(live.size(), 0);
+  // Run r spans live[runs[r], runs[r + 1]).
+  std::vector<std::uint32_t> runs;
+  const auto cut_runs = [&] {
+    runs.clear();
+    for (std::size_t i = 0; i < live.size(); ++i) {
+      if (i == 0 || root_of(live[i]) != root_of(live[i - 1])) {
+        runs.push_back(static_cast<std::uint32_t>(i));
+      }
+    }
+    runs.push_back(static_cast<std::uint32_t>(live.size()));
+  };
+  cut_runs();
 
-  // A lane's strided slice keeps the level order, and balances far better
-  // than contiguous chunks, whose per-fault sweep cost varies with site
-  // level.
+  // Strided runs balance far better than contiguous chunks, whose sweep
+  // cost varies with root level.
   const std::size_t lanes = util::resolve_worker_count(num_threads);
   std::vector<Propagator> propagators;
   propagators.reserve(lanes);
@@ -172,27 +205,64 @@ void drive_blocks(const FaultList& faults, const sim::PatternSet& patterns,
     const std::vector<std::uint64_t>* point_masks = strobe_masks.for_block(b);
     const std::size_t block_end = (b + 1) * 64;
     consumer.on_block(b, good);
+    const auto awake = [&](std::uint32_t cls) {
+      return wake.empty() || wake[cls] < block_end;
+    };
 
     const std::size_t live_count = live.size();
+    const std::size_t run_count = runs.size() - 1;
     const auto lane_body = [&](std::size_t lane) {
-      if (lane >= live_count) return;
+      if (lane >= run_count) return;
       Propagator& propagator = propagators[lane];
       propagator.begin_block(good);
       std::vector<std::uint64_t>* points =
           Consumer::kPointWords ? &point_words[lane] : nullptr;
-      for (std::size_t i = lane; i < live_count; i += lanes) {
-        const std::uint32_t cls = live[i];
-        std::uint64_t word = 0;
-        if (wake.empty() || wake[cls] < block_end) {
-          const Fault& rep = faults.representatives()[cls];
-          word = (transition ? propagator.detect_word_transition(
-                                   rep, good, window, point_masks, points)
-                             : propagator.detect_word_resim(
-                                   rep, good, point_masks, points)) &
-                 mask;
+      for (std::size_t r = lane; r < run_count; r += lanes) {
+        const std::size_t begin = runs[r];
+        const std::size_t end = runs[r + 1];
+        const circuit::GateId run_root = root_of(live[begin]);
+        if (run_root == circuit::kNoGate) {
+          // Each D-pin branch resolves at its own scan capture.
+          for (std::size_t i = begin; i < end; ++i) {
+            const std::uint32_t cls = live[i];
+            std::uint64_t word = 0;
+            if (awake(cls)) {
+              word = (transition ? propagator.detect_word_transition(
+                                       reps[cls], good, window, point_masks,
+                                       points)
+                                 : propagator.detect_word_resim(
+                                       reps[cls], good, point_masks,
+                                       points)) &
+                     mask;
+            }
+            words[i] = word;
+            consumer.visit(cls, b, word, point_words[lane]);
+          }
+          continue;
         }
-        words[i] = word;
-        consumer.visit(cls, b, word, point_words[lane]);
+        std::uint64_t reached = 0;
+        for (std::size_t i = begin; i < end; ++i) {
+          const std::uint32_t cls = live[i];
+          std::uint64_t word = 0;
+          if (awake(cls)) {
+            const Fault& rep = reps[cls];
+            word = propagator.site_word(rep, good) & mask;
+            if (transition && word != 0) {
+              word &= window.launch_mask(fault_line(*compiled, rep),
+                                         rep.stuck_at_one, good.data());
+            }
+          }
+          words[i] = word;
+          reached |= word;
+        }
+        const std::uint64_t observed =
+            reached == 0
+                ? 0
+                : propagator.stem_word(run_root, good, point_masks, points);
+        for (std::size_t i = begin; i < end; ++i) {
+          words[i] &= observed;
+          consumer.visit(live[i], b, words[i], point_words[lane]);
+        }
       }
     };
     if (pool.has_value()) {
@@ -206,7 +276,10 @@ void drive_blocks(const FaultList& faults, const sim::PatternSet& patterns,
       for (std::size_t i = 0; i < live_count; ++i) {
         if (words[i] == 0) live[kept++] = live[i];
       }
-      live.resize(kept);
+      if (kept != live_count) {
+        live.resize(kept);
+        cut_runs();
+      }
     }
     if (transition) window.advance(good);
   }

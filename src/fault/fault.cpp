@@ -37,4 +37,13 @@ circuit::GateId fault_line(const circuit::CompiledCircuit& compiled,
   return compiled.fanin(fault.gate)[fault.pin];
 }
 
+circuit::GateId fault_region(const circuit::CompiledCircuit& compiled,
+                             const Fault& fault) {
+  if (!is_stem(fault) &&
+      compiled.type(fault.gate) == circuit::GateType::kDff) {
+    return circuit::kNoGate;
+  }
+  return compiled.region_root(fault.gate);
+}
+
 }  // namespace lsiq::fault

@@ -52,4 +52,10 @@ circuit::GateId fault_line(const circuit::Circuit& circuit,
 circuit::GateId fault_line(const circuit::CompiledCircuit& compiled,
                            const Fault& fault);
 
+/// The root of the fanout-free region the fault's effect leaves through
+/// (CompiledCircuit::region_root of its gate), or kNoGate for a branch on
+/// a flip-flop's D pin, which only that flip-flop's scan capture sees.
+circuit::GateId fault_region(const circuit::CompiledCircuit& compiled,
+                             const Fault& fault);
+
 }  // namespace lsiq::fault

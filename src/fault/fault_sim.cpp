@@ -110,39 +110,30 @@ void Propagator::sweep_clean(const std::uint64_t* good) {
   dirty_level_ = c.depth() + 1;
 }
 
-bool Propagator::resolve_site(const Fault& fault, const std::uint64_t* good,
-                              const std::vector<std::uint64_t>* point_masks,
-                              std::uint64_t* result,
-                              std::uint64_t* faulty_site) const {
+std::uint64_t Propagator::capture_word(
+    const Fault& fault, const std::uint64_t* good,
+    const std::vector<std::uint64_t>* point_masks) const {
+  // The flip-flop's pseudo primary output index is kept per gate by the
+  // compiled view (no flip_flops() scan).
+  const CompiledCircuit& c = *compiled_;
+  const std::uint32_t point = c.point_index(fault.gate);
+  LSIQ_EXPECT(point != CompiledCircuit::kNoPoint,
+              "capture_word: DFF gate has no scan-capture point");
+  const std::uint64_t sv_word = fault.stuck_at_one ? ~0ULL : 0ULL;
+  const std::uint64_t diff = sv_word ^ good[c.fanin(fault.gate)[0]];
+  return point_masks == nullptr ? diff : diff & (*point_masks)[point];
+}
+
+std::uint64_t Propagator::site_value(const Fault& fault,
+                                     const std::uint64_t* good) const {
   const CompiledCircuit& c = *compiled_;
   const std::uint64_t sv_word = fault.stuck_at_one ? ~0ULL : 0ULL;
-
-  // A branch fault on a flip-flop's D pin never propagates through logic;
-  // it is captured directly at that flip-flop's pseudo primary output,
-  // whose index the compiled view keeps per gate (no flip_flops() scan).
-  if (!is_stem(fault) && c.type(fault.gate) == GateType::kDff) {
-    const std::uint32_t point = c.point_index(fault.gate);
-    LSIQ_EXPECT(point != CompiledCircuit::kNoPoint,
-                "resolve_site: DFF gate has no scan-capture point");
-    const std::uint64_t diff = sv_word ^ good[c.fanin(fault.gate)[0]];
-    *result = point_masks == nullptr ? diff : diff & (*point_masks)[point];
-    return true;
-  }
-
-  if (is_stem(fault)) {
-    *faulty_site = sv_word;
-  } else {
-    LSIQ_EXPECT(fault.pin >= 0 && static_cast<std::size_t>(fault.pin) <
-                                      c.fanin_count(fault.gate),
-                "resolve_site: fault pin out of range");
-    *faulty_site = c.eval_word_with_pin(fault.gate, good, fault.pin,
-                                        sv_word);
-  }
-  if ((*faulty_site ^ good[fault.gate]) == 0) {
-    *result = 0;  // fault effect never appears at the site in this block
-    return true;
-  }
-  return false;
+  if (is_stem(fault)) return sv_word;
+  LSIQ_EXPECT(fault.pin >= 0 &&
+                  static_cast<std::size_t>(fault.pin) <
+                      c.fanin_count(fault.gate),
+              "site_value: fault pin out of range");
+  return c.eval_word_with_pin(fault.gate, good, fault.pin, sv_word);
 }
 
 std::uint64_t Propagator::detect_word(
@@ -151,16 +142,17 @@ std::uint64_t Propagator::detect_word(
   check_sync(good_values, "detect_word");
   const CompiledCircuit& c = *compiled_;
   const std::uint64_t* good = good_values.data();
-
-  std::uint64_t resolved = 0;
-  std::uint64_t faulty_site = 0;
-  if (resolve_site(fault, good, point_masks, &resolved, &faulty_site)) {
-    return resolved;
+  if (fault_region(c, fault) == circuit::kNoGate) {
+    return capture_word(fault, good, point_masks);
+  }
+  const GateId site = fault.gate;
+  const std::uint64_t faulty_site = site_value(fault, good);
+  if ((faulty_site ^ good[site]) == 0) {
+    return 0;  // fault effect never appears at the site in this block
   }
 
   sweep_clean(good);
   std::uint64_t* work = work_.data();
-  const GateId site = fault.gate;
   work[site] = faulty_site;
   touched_.push_back(site);
   const std::size_t site_level = c.level(site);
@@ -208,48 +200,43 @@ std::uint64_t Propagator::detect_word(
   return detect;
 }
 
-std::uint64_t Propagator::detect_word_resim(
-    const Fault& fault, const std::vector<std::uint64_t>& good_values,
+std::uint64_t Propagator::site_word(
+    const Fault& fault, const std::vector<std::uint64_t>& good_values) const {
+  const CompiledCircuit& c = *compiled_;
+  const std::uint64_t* good = good_values.data();
+  GateId gate = fault.gate;
+  std::uint64_t diff = site_value(fault, good) ^ good[gate];
+  for (std::int32_t pin = c.reader_pin(gate); diff != 0 && pin >= 0;
+       pin = c.reader_pin(gate)) {
+    const GateId reader = c.fanout(gate)[0];
+    diff = c.eval_word_with_pin(reader, good, pin, good[gate] ^ diff) ^
+           good[reader];
+    gate = reader;
+  }
+  return diff;
+}
+
+std::uint64_t Propagator::stem_word(
+    GateId root, const std::vector<std::uint64_t>& good_values,
     const std::vector<std::uint64_t>* point_masks,
     std::vector<std::uint64_t>* point_words) {
-  check_sync(good_values, "detect_word_resim");
+  check_sync(good_values, "stem_word");
   const CompiledCircuit& c = *compiled_;
   const std::uint64_t* good = good_values.data();
   const auto& points = c.observed_points();
-  if (point_words != nullptr) point_words->assign(points.size(), 0);
 
-  // Site evaluation reads the caller's good array (always clean; work_ may
-  // hold the previous fault's machine at levels >= dirty_level_).
-  std::uint64_t resolved = 0;
-  std::uint64_t faulty_site = 0;
-  if (resolve_site(fault, good, point_masks, &resolved, &faulty_site)) {
-    // Only a DFF D-pin capture resolves to a nonzero word; its whole
-    // difference lands on that flip-flop's pseudo primary output.
-    if (point_words != nullptr && resolved != 0) {
-      (*point_words)[c.point_index(fault.gate)] = resolved;
-    }
-    return resolved;
-  }
-
-  // One flat sweep over the level-sorted suffix recomputes the faulty
-  // machine: gates off the fault's cone re-derive their good values, gates
-  // on it their faulty ones. Starting at min(site level, dirty level)
-  // also overwrites everything the previous fault left behind, which is a
-  // no-op start when faults arrive sorted by non-increasing site level.
-  const GateId site = fault.gate;
-  const std::size_t site_level = c.level(site);
-  const std::size_t start_level = std::min(site_level, dirty_level_);
+  // One flat sweep over the level-sorted suffix recomputes the machine
+  // with the root inverted: gates off the root's cone re-derive their good
+  // values, gates on it their changed ones. Starting at min(root level,
+  // dirty level) also overwrites everything the previous sweep left
+  // behind, which is a no-op start when roots arrive sorted by
+  // non-increasing level.
+  const std::size_t root_level = c.level(root);
+  const std::size_t start_level = std::min(root_level, dirty_level_);
   std::uint64_t* work = work_.data();
-  work[site] = faulty_site;
-  c.eval_suffix(start_level, work, site);
-  dirty_level_ = site_level;
-  // A source site (input or flip-flop stem) is never re-evaluated by any
-  // later sweep, so its injected value must be cleared by hand; evaluable
-  // sites are overwritten naturally once the next fault's sweep reaches
-  // them. Observation still sees the injected value: source points read
-  // work_ below, and the restore happens after the detect word is built.
-  const bool site_is_source =
-      c.type(site) == GateType::kInput || c.type(site) == GateType::kDff;
+  work[root] = ~good[root];
+  c.eval_suffix(start_level, work, root);
+  dirty_level_ = root_level;
 
   // Observation: untouched points satisfy work == good, so the diff is 0
   // without any reached-set bookkeeping.
@@ -264,13 +251,51 @@ std::uint64_t Propagator::detect_word_resim(
     }
   }
   if (point_words != nullptr) {
+    point_words->resize(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
       (*point_words)[i] = (work[points[i]] ^ good[points[i]]) &
                           (point_masks == nullptr ? ~0ULL : (*point_masks)[i]);
     }
   }
-  if (site_is_source) {
-    work[site] = good[site];
+  // A source root (input or flip-flop) is never re-evaluated by any later
+  // sweep, so its inverted value must be cleared by hand, after
+  // observation has seen it; an evaluable root is overwritten once the
+  // next sweep reaches it.
+  const GateType type = c.type(root);
+  if (type == GateType::kInput || type == GateType::kDff) {
+    work[root] = good[root];
+  }
+  return detect;
+}
+
+std::uint64_t Propagator::detect_word_resim(
+    const Fault& fault, const std::vector<std::uint64_t>& good_values,
+    const std::vector<std::uint64_t>* point_masks,
+    std::vector<std::uint64_t>* point_words) {
+  check_sync(good_values, "detect_word_resim");
+  const CompiledCircuit& c = *compiled_;
+  const GateId root = fault_region(c, fault);
+  if (root == circuit::kNoGate) {
+    // The whole difference lands on the flip-flop's pseudo primary output.
+    const std::uint64_t word =
+        capture_word(fault, good_values.data(), point_masks);
+    if (point_words != nullptr) {
+      point_words->assign(c.observed_points().size(), 0);
+      (*point_words)[c.point_index(fault.gate)] = word;
+    }
+    return word;
+  }
+  const std::uint64_t site = site_word(fault, good_values);
+  if (site == 0) {
+    if (point_words != nullptr) {
+      point_words->assign(c.observed_points().size(), 0);
+    }
+    return 0;
+  }
+  const std::uint64_t detect =
+      site & stem_word(root, good_values, point_masks, point_words);
+  if (point_words != nullptr) {
+    for (std::uint64_t& word : *point_words) word &= site;
   }
   return detect;
 }
@@ -416,7 +441,7 @@ std::vector<std::size_t> wake_patterns(const FaultList& faults,
   }
 
   // A fault first shows at its gate's output, except a flip-flop D-pin
-  // branch, which only its own scan capture sees (resolve_site).
+  // branch, which only its own scan capture sees (capture_word).
   std::vector<std::size_t> wake(faults.class_count());
   for (std::size_t c = 0; c < wake.size(); ++c) {
     const Fault& rep = faults.representatives()[c];

@@ -16,18 +16,24 @@
 //
 //   * simulate_ppsfp — parallel-pattern single-fault propagation, the
 //     production engine (same family of techniques as the paper's LAMP
-//     runs): good-machine simulation once per 64-pattern block, then for
-//     each still-undetected fault a levelized suffix resimulation forward
-//     from the fault site, with fault dropping. Runs on the compiled
-//     netlist (circuit/compiled.hpp), not the pointer-per-pin Circuit
-//     container.
+//     runs): good-machine simulation once per 64-pattern block, then,
+//     per fanout-free region holding a still-undetected fault, one
+//     levelized suffix resimulation with the region's root inverted, with
+//     fault dropping. Each fault's detect word is the lanes in which its
+//     effect reaches the root (traced over good values inside the region)
+//     AND the lanes in which the root's inversion is observed — FSIM's
+//     stem-region scheme (Lee & Ha, ITC 1991) with critical-path tracing
+//     inside the region (Abramovici, Menon & Miller, IEEE D&T 1984).
+//     Exact: every path out of a region leaves through its root. Runs on
+//     the compiled netlist (circuit/compiled.hpp), not the
+//     pointer-per-pin Circuit container.
 //
 //   * simulate_ppsfp_mt — the same computation fanned out over a worker
 //     pool built for the grade: each thread owns a Propagator and grades a
-//     strided slice of the live-fault list per block (stride keeps the
-//     per-lane work balanced, since per-fault cost varies with fault-site
-//     level). Per-fault detect words do not depend on evaluation order,
-//     so the result is bit-identical to simulate_ppsfp.
+//     strided share of the regions per block (stride keeps the per-lane
+//     work balanced, since per-region cost varies with root level).
+//     Per-fault detect words do not depend on evaluation order, so the
+//     result is bit-identical to simulate_ppsfp.
 //
 // Both PPSFP engines run on the one block driver (fault/block_driver.hpp),
 // which the fault dictionary, transition compaction and BIST signature
@@ -104,15 +110,15 @@ class Propagator {
       std::shared_ptr<const circuit::CompiledCircuit> compiled);
 
   /// Sync the propagation scratch to a freshly simulated good-machine
-  /// block. REQUIRED before the first detect_word / detect_word_resim of
-  /// every block. `good` is either node_count() words (a hand-built
-  /// buffer) or node_count()+1 words — a ParallelSimulator::values()
-  /// buffer whose trailing word is the block epoch stamped by
-  /// simulate_block. With the stamp present, every detect call verifies
-  /// the buffer has not been re-simulated since this sync and fails
-  /// loudly (assert + LSIQ_EXPECT) on the classic forgotten-begin_block
-  /// bug; without it the caller is on their own. (The one-shot
-  /// detect_word_for_fault wrappers sync internally.)
+  /// block. REQUIRED before the first detect_word / detect_word_resim /
+  /// stem_word of every block. `good` is either node_count() words (a
+  /// hand-built buffer) or node_count()+1 words — a
+  /// ParallelSimulator::values() buffer whose trailing word is the block
+  /// epoch stamped by simulate_block. With the stamp present, every
+  /// detect call verifies the buffer has not been re-simulated since this
+  /// sync and fails loudly (assert + LSIQ_EXPECT) on the classic
+  /// forgotten-begin_block bug; without it the caller is on their own.
+  /// (The one-shot detect_word_for_fault wrappers sync internally.)
   void begin_block(const std::vector<std::uint64_t>& good);
 
   /// Detection word for one fault (bit p = pattern p of the block detects
@@ -128,23 +134,50 @@ class Propagator {
                             const std::vector<std::uint64_t>* point_masks =
                                 nullptr);
 
-  /// Same contract as detect_word, computed by levelized suffix
-  /// resimulation instead of an event-driven wave: every gate at
-  /// level >= the fault site's level is re-evaluated in one flat sweep.
-  /// ~4x less bookkeeping per touched gate, so it wins whenever fault
-  /// effects spread widely (the PPSFP block-grading regime); detect_word
-  /// wins when effects die near the site. Fastest when consecutive calls
-  /// are ordered by non-increasing site level — any order is correct, but
-  /// an out-of-order call pays an extra prefix sweep to clear stale state.
+  /// Same contract as detect_word, computed as site_word(fault) AND
+  /// stem_word(fault_region(fault)) instead of an event-driven wave. In a
+  /// lane where the fault's effect reaches its region root, the faulty
+  /// machine equals the machine with the root inverted (every path out of
+  /// the region leaves through the root); in any other lane no observed
+  /// point differs. So the result is exact. A flip-flop D-pin branch
+  /// resolves at its own scan capture, and a fault whose effect dies
+  /// inside its region resolves to 0, both with no sweep. The sweep costs
+  /// the same per gate whatever the fault reaches, so this kernel wins
+  /// when effects spread widely (the PPSFP block-grading regime);
+  /// detect_word wins when they die near the site.
   ///
   /// `point_words`, when non-null, is resized to observed_points().size()
   /// and receives per point the lanes in which that point sees the fault,
-  /// masked like the detect word, which is their OR. They come from the
-  /// same sweep. Signature compaction (bist::) needs the per-point
-  /// structure the OR throws away: two errors reaching one MISR stage in
-  /// the same cycle cancel.
+  /// masked like the detect word, which is their OR: the stem's point
+  /// words from the same sweep, ANDed with the site word. Signature
+  /// compaction (bist::) needs the per-point structure the OR throws
+  /// away: two errors reaching one MISR stage in the same cycle cancel.
   std::uint64_t detect_word_resim(
       const Fault& fault, const std::vector<std::uint64_t>& good,
+      const std::vector<std::uint64_t>* point_masks = nullptr,
+      std::vector<std::uint64_t>* point_words = nullptr);
+
+  /// Region half of detect_word_resim: the lanes in which the effect of
+  /// `fault` reaches the root of its fanout-free region (fault_region),
+  /// unmasked. Traced from the site over the good values alone, one
+  /// reader per step (critical-path tracing): a non-root gate drives one
+  /// pin of one reader, and no other input of that reader lies
+  /// downstream of the site, so the reader differs exactly where flipping
+  /// that pin in the differing lanes flips it. Reads no scratch. Not
+  /// defined for a flip-flop D-pin branch (fault_region is kNoGate).
+  [[nodiscard]] std::uint64_t site_word(
+      const Fault& fault, const std::vector<std::uint64_t>& good) const;
+
+  /// Stem half of detect_word_resim, and Propagator's one suffix sweep:
+  /// the lanes in which inverting `root` in every lane changes a strobed
+  /// observed point, from one flat re-evaluation of every gate at level
+  /// >= root's level. Fastest when consecutive sweeps come in
+  /// non-increasing root level; any order is correct, but an
+  /// out-of-order call pays an extra prefix sweep to clear the previous
+  /// machine. `point_words` as in detect_word_resim, not narrowed by any
+  /// site word. The block driver grades a whole region on one call.
+  std::uint64_t stem_word(
+      circuit::GateId root, const std::vector<std::uint64_t>& good,
       const std::vector<std::uint64_t>* point_masks = nullptr,
       std::vector<std::uint64_t>* point_words = nullptr);
 
@@ -170,13 +203,14 @@ class Propagator {
   }
 
  private:
-  /// Shared prologue of both kernels: DFF D-pin captures and faults whose
-  /// effect never appears at the site resolve to a final detect word
-  /// (returns true, sets `result`); otherwise sets `faulty_site` to the
-  /// word to inject and returns false.
-  bool resolve_site(const Fault& fault, const std::uint64_t* good,
-                    const std::vector<std::uint64_t>* point_masks,
-                    std::uint64_t* result, std::uint64_t* faulty_site) const;
+  /// Detect word of a branch fault on a flip-flop's D pin, which never
+  /// propagates through logic: the flip-flop's scan capture sees it.
+  std::uint64_t capture_word(const Fault& fault, const std::uint64_t* good,
+                             const std::vector<std::uint64_t>* point_masks)
+      const;
+  /// The word a (non-D-pin) fault forces on its gate's output.
+  std::uint64_t site_value(const Fault& fault,
+                           const std::uint64_t* good) const;
   void schedule_fanout(circuit::GateId id);
   void sweep_clean(const std::uint64_t* good);
   /// Stale-sync guard run by every detect entry point: `good` must be the
@@ -192,8 +226,8 @@ class Propagator {
   std::size_t max_level_ = 0;
   /// Shared scratch of both kernels: the good-machine view of the current
   /// block. detect_word writes its wave here and restores it via touched_
-  /// before returning; detect_word_resim leaves its machine in place at
-  /// levels >= dirty_level_ and lets the next sweep overwrite it.
+  /// before returning; stem_word leaves its machine in place at levels
+  /// >= dirty_level_ and lets the next sweep overwrite it.
   std::vector<std::uint64_t> work_;
   std::size_t dirty_level_ = 0;
   bool block_synced_ = false;

@@ -148,8 +148,9 @@ TEST(BistSession, MatchesIndependentOracleOnCombinationalCircuit) {
 }
 
 TEST(BistSession, MatchesIndependentOracleOnSequentialCircuit) {
-  // Scan flip-flops: D-pin captures are pseudo primary outputs and take
-  // the resolve_site shortcut — the oracle must agree there too.
+  // Scan flip-flops: D-pin captures are pseudo primary outputs and
+  // resolve at their own capture with no sweep — the oracle must agree
+  // there too.
   const Circuit c = circuit::make_scan_accumulator(3);
   const FaultList faults = FaultList::full_universe(c);
   BistConfig config;

@@ -1,15 +1,18 @@
 // CompiledCircuit tests: the CSR topology against the Circuit observers it
 // was compiled from, the evaluation-order invariants the sweep kernels
-// rely on, the observed-point index map, and word-level evaluation parity
-// with the id-indexed reference evaluators.
+// rely on, the observed-point index map, the fanout-free-region map, and
+// word-level evaluation parity with the id-indexed reference evaluators.
 #include "circuit/compiled.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <vector>
 
+#include "analyze/analyze.hpp"
 #include "circuit/generators.hpp"
+#include "region_corners.hpp"
 #include "sim/parallel_sim.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
@@ -138,6 +141,77 @@ TEST(CompiledCircuit, DffChainMapsEachFlipFlopToItsOwnCapture) {
   const std::size_t num_po = c.primary_outputs().size();
   EXPECT_EQ(compiled.point_index(ff1), num_po + 0);
   EXPECT_EQ(compiled.point_index(ff2), num_po + 1);
+}
+
+TEST(CompiledCircuit, RegionMapPinsEveryGateOfTheCornerNetlist) {
+  const Circuit c = test_netlists::make_region_corners();
+  const CompiledCircuit compiled(c);
+  struct Expected {
+    const char* gate;
+    const char* root;
+    std::int32_t reader_pin;
+  };
+  const Expected expected[] = {
+      {"a", "a", -1},   {"b", "n1", 1},   {"c", "p", 2},
+      {"d", "p", 1},    {"e", "r", 1},    {"f", "dangling", 1},
+      {"q", "r", 0},    {"k1", "p", 1},   {"n1", "n1", -1},
+      {"twice", "p", 0}, {"m", "p", 0},   {"p", "p", -1},
+      {"s", "r", 0},    {"x0", "r", 0},   {"x1", "r", 0},
+      {"x2", "r", 0},   {"x3", "r", 0},   {"x4", "r", 0},
+      {"x5", "r", 0},   {"x6", "r", 0},   {"x7", "r", 0},
+      {"x8", "r", 1},   {"r", "r", -1},   {"dangling", "dangling", -1},
+  };
+  ASSERT_EQ(std::size(expected), c.gate_count());
+  for (const Expected& row : expected) {
+    const GateId id = c.find(row.gate);
+    ASSERT_NE(id, kNoGate) << row.gate;
+    EXPECT_EQ(c.gate(compiled.region_root(id)).name, row.root) << row.gate;
+    EXPECT_EQ(compiled.reader_pin(id), row.reader_pin) << row.gate;
+  }
+}
+
+TEST(CompiledCircuit, RegionMapAgreesWithAnalyzeFfrStatistics) {
+  // analyze() walks the same partition over its own reader lists and
+  // keeps only statistics over gates other than inputs, constants and
+  // flip-flops; counting those gates per compiled root must give the same
+  // region count and largest region, pinned here as well.
+  struct Case {
+    Circuit circuit;
+    std::size_t regions;
+    std::size_t largest;
+  };
+  Case cases[] = {
+      {make_array_multiplier(8), 224, 3},
+      {make_alu(4), 32, 14},
+      {make_mux_tree(4), 4, 46},
+      {make_parity_tree(16), 1, 15},
+      {make_scan_accumulator(6), 17, 3},
+      {make_carry_select_adder(8, 4), 31, 10},
+      {make_barrel_rotator(8), 24, 4},
+      {make_c17(), 4, 2},
+  };
+  for (const Case& test : cases) {
+    const Circuit& c = test.circuit;
+    const CompiledCircuit compiled(c);
+    std::map<GateId, std::size_t> size_of;
+    for (GateId id = 0; id < c.gate_count(); ++id) {
+      const GateType type = compiled.type(id);
+      if (type == GateType::kInput || type == GateType::kDff ||
+          type == GateType::kConst0 || type == GateType::kConst1) {
+        continue;
+      }
+      ++size_of[compiled.region_root(id)];
+    }
+    std::size_t largest = 0;
+    for (const auto& [root, size] : size_of) {
+      largest = std::max(largest, size);
+    }
+    const analyze::Report report = analyze::analyze(c);
+    EXPECT_EQ(size_of.size(), report.ffr.regions) << c.name();
+    EXPECT_EQ(largest, report.ffr.largest) << c.name();
+    EXPECT_EQ(size_of.size(), test.regions) << c.name();
+    EXPECT_EQ(largest, test.largest) << c.name();
+  }
 }
 
 TEST(CompiledCircuit, EvalWordMatchesReferenceEvaluator) {

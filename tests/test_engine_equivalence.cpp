@@ -32,6 +32,7 @@
 #include "sim/pattern.hpp"
 #include "tpg/atpg.hpp"
 #include "tpg/lfsr.hpp"
+#include "region_corners.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -322,6 +323,53 @@ TEST(EngineEquivalence, ScanCircuitWithLateCapturesAllEngines) {
     EXPECT_GT(steps.never_woken, 0u)
         << "some class should sleep past the end of the program";
     expect_engines_agree(faults, patterns, &schedule);
+  }
+}
+
+TEST(EngineEquivalence, FanoutFreeRegionCornersAllEngines) {
+  // The PPSFP engines read every fault of a fanout-free region off one
+  // sweep of the region's root, so a wrong root rule would show as a
+  // divergence here. The random DAGs above have 1-2 outputs, regions of
+  // at most 20 gates, and never read one driver on two pins of a gate.
+  // The corner netlist does (see region_corners.hpp); the mux and
+  // parity trees are each one deep region (190 and 63 gates). Every
+  // point is strobed late under the second schedule, so even the
+  // one-output trees grade through the wake skip.
+  const Circuit circuits[] = {
+      test_netlists::make_region_corners(),
+      circuit::make_mux_tree(6),
+      circuit::make_parity_tree(64),
+  };
+  std::uint64_t seed = 61;
+  for (const Circuit& c : circuits) {
+    SCOPED_TRACE(c.name());
+    const PatternSet patterns =
+        random_program(c.pattern_inputs().size(), 160, ++seed);
+    std::vector<std::size_t> starts(c.observed_points().size());
+    for (std::size_t i = 0; i < starts.size(); ++i) starts[i] = 50 + 40 * i;
+    const StrobeSchedule progressive =
+        StrobeSchedule::from_start_patterns(starts);
+    for (const StrobeSchedule* schedule : {static_cast<const StrobeSchedule*>(
+                                               nullptr),
+                                           &progressive}) {
+      SCOPED_TRACE(schedule == nullptr ? "full" : "progressive");
+      for (const FaultModel model : {FaultModel::kStuckAt,
+                                     FaultModel::kTransition}) {
+        SCOPED_TRACE(model == FaultModel::kStuckAt ? "stuck_at"
+                                                   : "transition");
+        const FaultList faults = fault_model::universe(c, model);
+        if (!c.flip_flops().empty()) {
+          EXPECT_TRUE(std::any_of(
+              faults.representatives().begin(),
+              faults.representatives().end(), [&](const Fault& rep) {
+                return !is_stem(rep) &&
+                       c.gate(rep.gate).type == GateType::kDff;
+              }))
+              << "no D-pin branch class survived collapsing";
+        }
+        expect_engines_agree(faults, patterns, schedule);
+      }
+    }
   }
 }
 

@@ -32,6 +32,15 @@ Each --per entry is SUBSTRING=FRACTION; a benchmark uses the budget of
 the LONGEST matching substring (most specific wins), falling back to
 --threshold when none match.
 
+Threaded rows on a host that cannot run them: a benchmark that marks
+itself with a `lanes` counter above 1 measures threads running at once,
+which a host delivering less than two cores of throughput cannot do. When
+either file's context records an `effective_parallelism` below 2 (the
+perf suite measures it before running, as perfbench does), such a row's
+slowdown beyond budget is reported as FLAGGED and does not fail the gate.
+A row with no `lanes` counter (or lanes 1), or a pair of files with no
+recorded parallelism, gates as before.
+
 Benchmarks present on only one side are reported but never fatal, so
 adding or renaming benchmarks cannot wedge CI; only a measured regression
 on a comparable name can. Time units are taken from the baseline entry
@@ -43,17 +52,21 @@ import json
 import sys
 
 
-def load_times(path, name_filter):
-    """Map benchmark name -> (real_time, time_unit) for matching entries.
+def load_run(path, name_filter):
+    """Read one benchmark file: (times, lanes, parallelism).
 
-    Precedence per name: median aggregate > mean aggregate > raw entry,
-    so repeated runs gate (and record history) on the noise-robust
-    median while plain runs still work.
+    times maps benchmark name -> (real_time, time_unit) for matching
+    entries, with precedence median aggregate > mean aggregate > raw
+    entry, so repeated runs gate (and record history) on the
+    noise-robust median while plain runs still work. lanes maps name ->
+    its `lanes` counter (1 when absent). parallelism is the context's
+    effective_parallelism, or None when the file does not record it.
     """
     with open(path) as handle:
         data = json.load(handle)
     ranks = {"median": 3, "mean": 2}
     best = {}  # name -> (rank, real_time, time_unit)
+    lanes = {}
     for bench in data.get("benchmarks", []):
         if bench.get("run_type") == "aggregate":
             rank = ranks.get(bench.get("aggregate_name"))
@@ -64,10 +77,15 @@ def load_times(path, name_filter):
         name = bench.get("run_name", bench.get("name", ""))
         if name_filter not in name:
             continue
+        lanes[name] = max(lanes.get(name, 1), float(bench.get("lanes", 1)))
         if name not in best or rank > best[name][0]:
             best[name] = (rank, float(bench["real_time"]),
                           bench.get("time_unit", ""))
-    return {name: (time, unit) for name, (_, time, unit) in best.items()}
+    times = {name: (time, unit) for name, (_, time, unit) in best.items()}
+    parallelism = data.get("context", {}).get("effective_parallelism")
+    if parallelism is not None:
+        parallelism = float(parallelism)
+    return times, lanes, parallelism
 
 
 def append_history(path, label, times):
@@ -134,8 +152,17 @@ def main():
     args = parser.parse_args()
     budgets = parse_per_budgets(args.per)
 
-    baseline = load_times(args.baseline, args.filter)
-    current = load_times(args.current, args.filter)
+    baseline, base_lanes, base_parallelism = load_run(args.baseline,
+                                                      args.filter)
+    current, cur_lanes, cur_parallelism = load_run(args.current, args.filter)
+    recorded = [p for p in (base_parallelism, cur_parallelism)
+                if p is not None]
+    starved = bool(recorded) and min(recorded) < 2.0
+    if recorded:
+        print("perf gate: effective parallelism "
+              f"{base_parallelism} -> {cur_parallelism}"
+              + ("; threaded rows are flagged, not gated" if starved
+                 else ""))
     if args.history and current:
         append_history(args.history, args.label, current)
         print(f"perf gate: appended {len(current)} median(s) to "
@@ -150,6 +177,7 @@ def main():
         return 1
 
     failures = []
+    flagged = []
     for name, (base_time, base_unit) in sorted(baseline.items()):
         if name not in current:
             print(f"perf gate: note: '{name}' absent from current run")
@@ -162,8 +190,13 @@ def main():
             continue
         threshold = budget_for(name, args.threshold, budgets)
         ratio = cur_time / base_time if base_time > 0 else float("inf")
+        lanes = max(base_lanes[name], cur_lanes[name])
         verdict = "OK"
-        if ratio > 1.0 + threshold:
+        if ratio > 1.0 + threshold and starved and lanes > 1:
+            verdict = (f"FLAGGED (> {threshold:.0%} slower on {lanes:g} "
+                       "lanes, host parallelism below 2)")
+            flagged.append(name)
+        elif ratio > 1.0 + threshold:
             verdict = f"REGRESSION (> {threshold:.0%} slower)"
             failures.append(name)
         print(f"perf gate: {name}: {base_time:.3f} -> {cur_time:.3f} "
@@ -172,6 +205,9 @@ def main():
     for name in sorted(set(current) - set(baseline)):
         print(f"perf gate: note: '{name}' is new (no baseline)")
 
+    if flagged:
+        print(f"perf gate: {len(flagged)} threaded benchmark(s) flagged, "
+              "not gated")
     if failures:
         print(f"perf gate: FAILED: {len(failures)} benchmark(s) regressed "
               "beyond budget")
