@@ -2,8 +2,9 @@
 // compiled parallel-pattern logic simulation, event-driven simulation,
 // serial vs PPSFP vs multi-threaded PPSFP fault simulation, the other
 // consumers of the PPSFP block driver (BIST signatures, the fault
-// dictionary, transition compaction), PODEM, and the static analyzer
-// (structural pass, implication prover, testability).
+// dictionary, transition compaction), PODEM, the static analyzer
+// (structural pass, implication prover, testability), and one flow-service
+// job on a cold and on a warm artifact cache.
 //
 // The headline ablation is serial vs PPSFP vs PPSFP-MT: parallel-pattern
 // single-fault propagation with fault dropping on the compiled netlist —
@@ -28,6 +29,8 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -43,6 +46,7 @@
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
 #include "fault/strobe.hpp"
+#include "flow/batch.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/parallel_sim.hpp"
 #include "tpg/atpg.hpp"
@@ -397,6 +401,42 @@ void BM_Analyze_Testability(benchmark::State& state) {
   state.SetLabel(circuit_name(static_cast<int>(state.range(0))));
 }
 BENCHMARK(BM_Analyze_Testability)->Arg(0)->Arg(1)->Arg(2)->Arg(3);
+
+// One flow-service job end to end, the daemon job shape (mult16, 1024
+// LFSR patterns, full observation, engine = ppsfp) through the batch and
+// daemon unit of work, run_spec_with_retry. Arg 0 starts every job on a
+// fresh artifact cache: parse, circuit build, universe, compile, the
+// analyze gate with its redundancy proof, grade, characterize. Arg 1
+// runs on a warm cache, whose bundle already holds the compile and the
+// proof: the cost of every daemon job after the first over a circuit.
+void BM_Flow_DaemonJob(benchmark::State& state) {
+  const bool warm = state.range(0) != 0;
+  const std::string path =
+      (std::filesystem::temp_directory_path() / "lsiq_perf_daemon_job.spec")
+          .string();
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << "circuit = mult16\nfault_model = stuck_at\nsource = lfsr\n"
+           "patterns = 1024\nlfsr_seed = 1981\nobserve = full\n"
+           "engine = ppsfp\nchips = 0\nyield = 0.07\nn0 = 8\n";
+  }
+  const flow::BatchOptions options;
+  flow::ArtifactCache shared;
+  if (warm) flow::run_spec_with_retry(path, shared, options);
+  for (auto _ : state) {
+    flow::ArtifactCache fresh;
+    const flow::BatchRecord record =
+        flow::run_spec_with_retry(path, warm ? shared : fresh, options);
+    if (record.status != "ok") {
+      state.SkipWithError(record.error.c_str());
+      break;
+    }
+    benchmark::DoNotOptimize(record.coverage);
+  }
+  std::filesystem::remove(path);
+  state.SetLabel(warm ? "mult16 x 1024, warm cache" : "mult16 x 1024, cold");
+}
+BENCHMARK(BM_Flow_DaemonJob)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 /// Effective parallelism of the host right now: the most that k spinning
 /// threads (k = 2, 4) deliver relative to one, each wall the best of

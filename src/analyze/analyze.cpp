@@ -3,10 +3,10 @@
 #include <algorithm>
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <utility>
 
-#include "analyze/implication.hpp"
 #include "analyze/redundancy.hpp"
 #include "circuit/compiled.hpp"
 
@@ -230,6 +230,15 @@ std::string value_text(LineValue value) {
 }  // namespace
 
 Report analyze(const Circuit& circuit, const Options& options) {
+  std::optional<RedundancyReport> proof;
+  return analyze(circuit, options, [&]() -> const RedundancyReport& {
+    proof = prove_redundancies(circuit::CompiledCircuit(circuit));
+    return *proof;
+  });
+}
+
+Report analyze(const Circuit& circuit, const Options& options,
+               const ProofSource& proof) {
   Report report;
   Emitter emit(options, &report.diagnostics);
   const std::size_t n = circuit.gate_count();
@@ -488,9 +497,7 @@ Report analyze(const Circuit& circuit, const Options& options) {
   // compiled, and the prover only runs when its class is enabled.
   if (circuit.finalized() &&
       options.policy(RuleClass::kUntestable) != Policy::kOff) {
-    const circuit::CompiledCircuit compiled(circuit);
-    const ImplicationEngine engine(compiled);
-    const RedundancyReport redundancy = identify_redundancies(engine);
+    const RedundancyReport& redundancy = proof();
     std::vector<fault::Fault> merged;
     merged.reserve(report.untestable_sites.size() + redundancy.sites.size());
     report.implication_sites.reserve(redundancy.sites.size());

@@ -31,6 +31,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "analyze/rule.hpp"
@@ -38,6 +39,8 @@
 #include "fault/fault.hpp"
 
 namespace lsiq::analyze {
+
+struct RedundancyReport;  // analyze/redundancy.hpp
 
 /// Ternary constant-propagation lattice value of a line.
 enum class LineValue : std::int8_t {
@@ -96,10 +99,24 @@ struct Report {
   }
 };
 
+/// Where analyze() takes the implication prover's proof from. It is
+/// called at most once, and only when the prover runs (a finalized,
+/// structurally sound circuit with the untestable class enabled). It must
+/// return prove_redundancies() of the circuit's compiled view.
+using ProofSource = std::function<const RedundancyReport&()>;
+
 /// Run the structural analysis (everything except the testability class,
 /// which needs a fault universe — see analyze/testability.hpp). Accepts
 /// finalized and unfinalized circuits alike; never throws on netlist
-/// defects — they become diagnostics.
+/// defects — they become diagnostics. Compiles the circuit and proves
+/// through prove_redundancies() when the prover runs.
 Report analyze(const circuit::Circuit& circuit, const Options& options = {});
+
+/// analyze() with the prover's proof read from `proof` instead of proved
+/// here. flow::CircuitBundle passes the proof it keeps per circuit, so
+/// many specs over one circuit prove it once. The report is identical to
+/// the two-argument call's.
+Report analyze(const circuit::Circuit& circuit, const Options& options,
+               const ProofSource& proof);
 
 }  // namespace lsiq::analyze

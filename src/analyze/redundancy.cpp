@@ -162,4 +162,8 @@ RedundancyReport identify_redundancies(const ImplicationEngine& engine) {
   return report;
 }
 
+RedundancyReport prove_redundancies(const circuit::CompiledCircuit& compiled) {
+  return identify_redundancies(ImplicationEngine(compiled));
+}
+
 }  // namespace lsiq::analyze

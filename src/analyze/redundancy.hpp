@@ -62,4 +62,12 @@ struct RedundancyReport {
 [[nodiscard]] RedundancyReport identify_redundancies(
     const ImplicationEngine& engine);
 
+/// The analyze gate's whole prover stage: build an ImplicationEngine over
+/// `compiled` and run identify_redundancies. A pure function of the
+/// netlist, so its report can be kept per circuit: analyze() calls this
+/// on a cold run, and flow::CircuitBundle calls it once per circuit and
+/// shares the report with every spec over that circuit.
+[[nodiscard]] RedundancyReport prove_redundancies(
+    const circuit::CompiledCircuit& compiled);
+
 }  // namespace lsiq::analyze

@@ -231,13 +231,16 @@ Circuit read_bench_file(const std::string& path) {
   if (!in) {
     throw IoError("cannot open .bench file: " + path);
   }
-  // Derive the circuit name from the basename without extension.
+  return read_bench(in, bench_circuit_name(path));
+}
+
+std::string bench_circuit_name(const std::string& path) {
   std::string name = path;
   const std::size_t slash = name.find_last_of('/');
   if (slash != std::string::npos) name.erase(0, slash + 1);
   const std::size_t dot = name.find_last_of('.');
   if (dot != std::string::npos) name.erase(dot);
-  return read_bench(in, name);
+  return name;
 }
 
 void write_bench(const Circuit& circuit, std::ostream& out) {

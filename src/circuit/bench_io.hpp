@@ -30,8 +30,13 @@ Circuit read_bench(std::istream& in, const std::string& circuit_name);
 Circuit read_bench_string(const std::string& text,
                           const std::string& circuit_name = "bench");
 
-/// Parse a `.bench` file from disk.
+/// Parse a `.bench` file from disk. The circuit is named
+/// bench_circuit_name(path).
 Circuit read_bench_file(const std::string& path);
+
+/// The name read_bench_file gives the netlist at `path`: its basename
+/// without the extension.
+std::string bench_circuit_name(const std::string& path);
 
 /// Serialize a finalized circuit to `.bench` text.
 void write_bench(const Circuit& circuit, std::ostream& out);

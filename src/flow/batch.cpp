@@ -10,11 +10,11 @@
 #include <sstream>
 #include <thread>
 
-#include "fault_model/universe.hpp"
 #include "flow/flow.hpp"
 #include "flow/spec_io.hpp"
 #include "util/deadline.hpp"
 #include "util/failpoint.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 #include "util/thread_pool.hpp"
 
@@ -90,12 +90,12 @@ void run_spec_once(const std::string& path, ArtifactCache& cache,
   if (options.check_only) {
     // Lint-before-run: the analyze gate only. A LintError escapes to the
     // retry boundary and becomes a permanent "lint" failure record.
-    check(*artifacts->faults, file.spec);
+    check_detailed(*artifacts->faults, file.spec, *artifacts->bundle);
     record->classes = artifacts->faults->class_count();
     return;
   }
   const FlowResult result = run(*artifacts->faults, file.spec,
-                                artifacts->compiled);
+                                *artifacts->bundle);
 
   record->patterns = result.patterns.size();
   record->classes = artifacts->faults->class_count();
@@ -115,17 +115,9 @@ void run_spec_once(const std::string& path, ArtifactCache& cache,
 std::uint64_t hash_spec_file(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   if (!in) return 0;
-  std::uint64_t hash = 14695981039346656037ULL;
-  char buffer[4096];
-  while (in.read(buffer, sizeof buffer) || in.gcount() > 0) {
-    const std::streamsize got = in.gcount();
-    for (std::streamsize i = 0; i < got; ++i) {
-      hash ^= static_cast<unsigned char>(buffer[i]);
-      hash *= 1099511628211ULL;
-    }
-    if (!in) break;
-  }
-  return hash;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return util::fnv1a(bytes.str());
 }
 
 // ---- RetryPolicy ----
@@ -299,89 +291,6 @@ BatchRecord run_spec_with_retry(const std::string& path, ArtifactCache& cache,
   return record;
 }
 
-// ---- ArtifactCache ----
-
-std::shared_ptr<const ArtifactCache::Artifacts> ArtifactCache::get(
-    const std::string& circuit_name, fault_model::FaultModel model) {
-  const std::pair<std::string, int> key(circuit_name,
-                                        static_cast<int>(model));
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = entries_.find(key);
-  if (it != entries_.end()) {
-    ++hits_;
-    it->second.last_use = ++tick_;
-    return it->second.artifacts;
-  }
-  // Build outside the map so a throwing build caches nothing. The circuit
-  // is heap-allocated FIRST and never moves afterwards — the FaultList
-  // and the compiled view both hold references into it.
-  auto artifacts = std::make_shared<Artifacts>();
-  artifacts->circuit = std::make_unique<const circuit::Circuit>(
-      circuit_from_name(circuit_name));
-  artifacts->faults = std::make_unique<const fault::FaultList>(
-      fault_model::universe(*artifacts->circuit, model));
-  artifacts->compiled =
-      std::make_shared<const circuit::CompiledCircuit>(*artifacts->circuit);
-  ++misses_;
-  Entry entry;
-  entry.artifacts = std::move(artifacts);
-  entry.cost = cost_of(*entry.artifacts);
-  entry.last_use = ++tick_;
-  cost_ += entry.cost;
-  std::shared_ptr<const Artifacts> handle = entry.artifacts;
-  entries_.emplace(key, std::move(entry));
-  evict_locked();
-  return handle;
-}
-
-void ArtifactCache::set_max_cost(std::size_t max_cost) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  max_cost_ = max_cost;
-  evict_locked();
-}
-
-void ArtifactCache::evict_locked() {
-  if (max_cost_ == 0) return;
-  while (cost_ > max_cost_ && entries_.size() > 1) {
-    auto victim = entries_.end();
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (victim == entries_.end() ||
-          it->second.last_use < victim->second.last_use) {
-        victim = it;
-      }
-    }
-    cost_ -= victim->second.cost;
-    entries_.erase(victim);
-    ++evictions_;
-  }
-}
-
-ArtifactCache::Stats ArtifactCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Stats stats;
-  stats.hits = hits_;
-  stats.misses = misses_;
-  stats.evictions = evictions_;
-  stats.entries = entries_.size();
-  stats.cost = cost_;
-  stats.max_cost = max_cost_;
-  return stats;
-}
-
-std::size_t ArtifactCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::size_t ArtifactCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
-}
-
-std::size_t ArtifactCache::cost_of(const Artifacts& artifacts) {
-  return artifacts.compiled != nullptr ? artifacts.compiled->node_count() : 0;
-}
-
 // ---- BatchResult ----
 
 std::string BatchResult::canonical() const {
@@ -405,7 +314,9 @@ std::string BatchResult::summary() const {
     out << " (" << transient_failures << " transient)";
   }
   out << ", " << resumed_count << " resumed from checkpoint; artifact cache "
-      << cache_misses << " built, " << cache_hits << " reused";
+      << cache_misses << " built, " << cache_hits << " reused; "
+      << cache_proofs << " circuit proof" << (cache_proofs == 1 ? "" : "s")
+      << " built";
   return out.str();
 }
 
@@ -529,6 +440,7 @@ BatchResult run_batch(const std::vector<std::string>& specs,
   const ArtifactCache::Stats cache_stats = cache.stats();
   result.cache_hits = cache_stats.hits;
   result.cache_misses = cache_stats.misses;
+  result.cache_proofs = cache_stats.proofs;
   return result;
 }
 

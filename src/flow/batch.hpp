@@ -30,12 +30,13 @@
 //     resumed from its checkpoint converges to the same canonical result
 //     set as an uninterrupted run.
 //
-// The batch also lands the first increment of the ROADMAP's
-// flow-as-a-service cache: an ArtifactCache keyed by (circuit selector,
-// fault model) shares the built circuit::Circuit, the collapsed
-// fault universe AND the circuit::CompiledCircuit view across every spec
-// in the batch, so N specs over one product compile once instead of N
-// times.
+// Specs share an ArtifactCache (flow/artifacts.hpp). Each circuit
+// content key (a generator selector, or a .bench path plus the hash of
+// its bytes) gets one CircuitBundle: the built circuit, its compiled view
+// and the analyze gate's implication-prover proof, proved lazily once.
+// The collapsed fault universe of each fault model hangs off it. So N
+// specs over one product build, compile and prove it once instead of N
+// times, and an edited .bench is rebuilt, never served stale.
 //
 // Failure injection for tests and CI rides on util/failpoint.hpp: the
 // sites "spec.read", "flow.run", "flow.patterns", "flow.grade" and
@@ -54,10 +55,7 @@
 #include <utility>
 #include <vector>
 
-#include "circuit/compiled.hpp"
-#include "circuit/netlist.hpp"
-#include "fault/fault_list.hpp"
-#include "fault_model/fault_model.hpp"
+#include "flow/artifacts.hpp"
 #include "util/error.hpp"
 
 namespace lsiq::flow {
@@ -152,83 +150,6 @@ struct BatchRecord {
   static std::optional<BatchRecord> from_jsonl(const std::string& line);
 };
 
-/// The shared artifact cache: circuit + collapsed fault universe +
-/// compiled view per (circuit selector, fault model). Thread-safe.
-///
-/// Entries are handed out as shared_ptr, so EVICTION is safe: an evicted
-/// entry stays alive until the last job using it drops its handle — the
-/// cache only stops handing it out. The eviction policy is cost-weighted
-/// LRU: each entry's cost is its compiled-circuit size (node count — the
-/// quantity the simulation buffers and CSR arrays all scale with), and
-/// whenever the live total exceeds max_cost the least-recently-used
-/// entries are dropped. The most-recently-used entry is never evicted, so
-/// one artifact bigger than the whole bound still builds and runs — the
-/// bound then degrades to "cache nothing else".
-///
-/// max_cost == 0 means unbounded (the one-shot batch default). The
-/// long-lived flow service (src/service/) sets a real bound so a daemon's
-/// memory stays flat across thousands of jobs; hits/misses/evictions and
-/// the live cost are exposed for its `stats` request.
-class ArtifactCache {
- public:
-  struct Artifacts {
-    std::unique_ptr<const circuit::Circuit> circuit;
-    std::unique_ptr<const fault::FaultList> faults;
-    std::shared_ptr<const circuit::CompiledCircuit> compiled;
-  };
-
-  struct Stats {
-    std::size_t hits = 0;
-    std::size_t misses = 0;
-    std::size_t evictions = 0;
-    std::size_t entries = 0;   ///< live (non-evicted) entries
-    std::size_t cost = 0;      ///< summed cost of live entries
-    std::size_t max_cost = 0;  ///< configured bound; 0 = unbounded
-  };
-
-  ArtifactCache() = default;
-  explicit ArtifactCache(std::size_t max_cost) : max_cost_(max_cost) {}
-
-  /// Build-or-reuse. Builds under the cache lock (cold starts serialize;
-  /// steady state is one map lookup). Throws what circuit_from_name /
-  /// universe construction throws; failures are not cached. The returned
-  /// handle stays valid for the handle's lifetime regardless of eviction.
-  std::shared_ptr<const Artifacts> get(const std::string& circuit_name,
-                                       fault_model::FaultModel model);
-
-  /// (Re)configure the cost bound; evicts immediately when the new bound
-  /// is tighter than the live total. 0 = unbounded.
-  void set_max_cost(std::size_t max_cost);
-
-  [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t hits() const;
-  [[nodiscard]] std::size_t misses() const;
-
-  /// The cost charged for one entry (compiled node count) — exposed so
-  /// tests and capacity planning can size max_cost in the same unit.
-  [[nodiscard]] static std::size_t cost_of(const Artifacts& artifacts);
-
- private:
-  struct Entry {
-    std::shared_ptr<const Artifacts> artifacts;
-    std::size_t cost = 0;
-    std::uint64_t last_use = 0;  ///< recency tick for LRU ordering
-  };
-
-  /// Drop LRU entries (never the newest) until cost_ fits max_cost_.
-  /// Caller holds mutex_.
-  void evict_locked();
-
-  mutable std::mutex mutex_;
-  std::map<std::pair<std::string, int>, Entry> entries_;
-  std::uint64_t tick_ = 0;
-  std::size_t cost_ = 0;
-  std::size_t max_cost_ = 0;
-  std::size_t hits_ = 0;
-  std::size_t misses_ = 0;
-  std::size_t evictions_ = 0;
-};
-
 /// The JSONL result store / checkpoint writer. Thread-safe; every append
 /// is flushed (the durability point). kTruncate is the batch convention —
 /// the store is rebuilt from carried-over plus fresh records each run.
@@ -281,6 +202,7 @@ struct BatchResult {
   std::size_t resumed_count = 0;
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
+  std::size_t cache_proofs = 0;  ///< circuits the analyze gate proved
 
   [[nodiscard]] bool all_ok() const noexcept { return failed_count == 0; }
 

@@ -68,18 +68,26 @@ std::vector<quality::CoveragePoint> FlowResult::points() const {
   return wafer::coverage_points(table);
 }
 
-std::vector<analyze::Diagnostic> check(const fault::FaultList& faults,
-                                       const FlowSpec& spec) {
-  return check_detailed(faults, spec).diagnostics;
-}
+namespace {
 
-CheckOutcome check_detailed(const fault::FaultList& faults,
-                            const FlowSpec& spec) {
+/// The analyze gate, proving the circuit itself (`bundle` null) or
+/// reading the bundle's proof.
+CheckOutcome check_gate(const fault::FaultList& faults, const FlowSpec& spec,
+                        const CircuitBundle* bundle) {
   validate_or_throw(spec);
+  LSIQ_EXPECT(bundle == nullptr || &bundle->circuit() == &faults.circuit(),
+              "flow: the fault list is not a universe over the bundle's "
+              "circuit");
   CheckOutcome outcome;
   const analyze::Options options = analyze_options(spec.analyze);
   if (!options.any_enabled()) return outcome;
-  analyze::Report report = analyze::analyze(faults.circuit(), options);
+  analyze::Report report =
+      bundle == nullptr
+          ? analyze::analyze(faults.circuit(), options)
+          : analyze::analyze(faults.circuit(), options,
+                             [bundle]() -> const analyze::RedundancyReport& {
+                               return bundle->redundancy();
+                             });
   outcome.diagnostics = std::move(report.diagnostics);
   if (options.testability != analyze::Policy::kOff) {
     const analyze::TestabilityReport testability =
@@ -123,6 +131,24 @@ CheckOutcome check_detailed(const fault::FaultList& faults,
   return outcome;
 }
 
+}  // namespace
+
+std::vector<analyze::Diagnostic> check(const fault::FaultList& faults,
+                                       const FlowSpec& spec) {
+  return check_detailed(faults, spec).diagnostics;
+}
+
+CheckOutcome check_detailed(const fault::FaultList& faults,
+                            const FlowSpec& spec) {
+  return check_gate(faults, spec, nullptr);
+}
+
+CheckOutcome check_detailed(const fault::FaultList& faults,
+                            const FlowSpec& spec,
+                            const CircuitBundle& bundle) {
+  return check_gate(faults, spec, &bundle);
+}
+
 sim::PatternSet make_patterns(const fault::FaultList& faults,
                               const PatternSourceSpec& source,
                               std::optional<tpg::AtpgResult>* atpg_out) {
@@ -159,8 +185,15 @@ sim::PatternSet make_patterns(const fault::FaultList& faults,
               ErrorCode::kInvalidSpec);
 }
 
-FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
-               std::shared_ptr<const circuit::CompiledCircuit> compiled) {
+namespace {
+
+/// run() over `compiled` (null: the engines compile) with the gate
+/// proving the circuit itself (`bundle` null) or reading the bundle's
+/// proof.
+FlowResult run_flow(
+    const fault::FaultList& faults, const FlowSpec& spec,
+    const std::shared_ptr<const circuit::CompiledCircuit>& compiled,
+    const CircuitBundle* bundle) {
   LSIQ_FAILPOINT("flow.run");
   validate_or_throw(spec);
   // validate() guaranteed the name resolves; the list must agree with the
@@ -184,7 +217,7 @@ FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
   // 0. The pre-run analyze gate: lint the netlist before any engine
   // spends time on it. An error-policy finding throws LintError here;
   // warnings and the static-redundancy census ride along on the result.
-  CheckOutcome gate = check_detailed(faults, spec);
+  CheckOutcome gate = check_gate(faults, spec, bundle);
   result.lint = std::move(gate.diagnostics);
   result.statically_redundant_classes = gate.statically_redundant_classes;
   result.statically_redundant_faults = gate.statically_redundant_faults;
@@ -295,6 +328,18 @@ FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
   }
 
   return result;
+}
+
+}  // namespace
+
+FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
+               std::shared_ptr<const circuit::CompiledCircuit> compiled) {
+  return run_flow(faults, spec, compiled, nullptr);
+}
+
+FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
+               const CircuitBundle& bundle) {
+  return run_flow(faults, spec, bundle.compiled(), &bundle);
 }
 
 FlowResult run(const circuit::Circuit& circuit, const FlowSpec& spec) {

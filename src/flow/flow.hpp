@@ -20,6 +20,7 @@
 #include "fault/coverage.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
+#include "flow/artifacts.hpp"
 #include "flow/spec.hpp"
 #include "wafer/experiment.hpp"
 #include "wafer/tester.hpp"
@@ -105,10 +106,9 @@ sim::PatternSet make_patterns(
 /// coverage is never reached by the materialized program.
 ///
 /// `compiled`, when non-null, must be a compiled view of
-/// faults.circuit(); the grading engines use it instead of recompiling —
-/// this is how the batch runner's per-(circuit, fault_model) artifact
-/// cache amortizes compilation across many specs. Results are
-/// bit-identical either way.
+/// faults.circuit(); the grading engines use it instead of recompiling.
+/// Results are bit-identical either way. The analyze gate still proves
+/// the circuit here; the CircuitBundle overload below reuses a proof.
 ///
 /// Failure injection and cancellation: run() passes the named failpoint
 /// sites "flow.run" (entry), "flow.patterns" (pattern materialization)
@@ -119,6 +119,14 @@ sim::PatternSet make_patterns(
 FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
                std::shared_ptr<const circuit::CompiledCircuit> compiled =
                    nullptr);
+
+/// run() over a circuit's shared artifacts: `faults` must be a universe
+/// over bundle.circuit(). The gate reads the bundle's proof (proving it
+/// on the bundle's first use) and grading uses its compiled view — how
+/// the batch runner and the flow service prove each circuit once for
+/// many specs. Results are byte-identical to the cold overload's.
+FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
+               const CircuitBundle& bundle);
 
 /// The pre-run lint gate on its own: run the spec's analyze section over
 /// the universe's circuit without materializing patterns or grading
@@ -144,6 +152,13 @@ struct CheckOutcome {
 /// check() with the static-redundancy census. Same throwing behavior.
 CheckOutcome check_detailed(const fault::FaultList& faults,
                             const FlowSpec& spec);
+
+/// check_detailed() reading the implication prover's proof from `bundle`
+/// (see the bundle overload of run()); `faults` must be a universe over
+/// bundle.circuit(). The outcome and any LintError are byte-identical to
+/// the cold overload's.
+CheckOutcome check_detailed(const fault::FaultList& faults,
+                            const FlowSpec& spec, const CircuitBundle& bundle);
 
 /// Convenience overload: enumerate the spec's fault-model universe of the
 /// circuit (fault_model::universe) first, then run.

@@ -1,15 +1,18 @@
 #include "flow/spec_io.hpp"
 
 #include <cctype>
+#include <cstdio>
 #include <fstream>
 #include <istream>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "circuit/bench_io.hpp"
 #include "circuit/generators.hpp"
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/hash.hpp"
 
 namespace lsiq::flow {
 
@@ -295,10 +298,37 @@ std::string write_spec_string(const SpecFile& file) {
 }
 
 circuit::Circuit circuit_from_name(const std::string& name) {
-  if (name == "c17") return circuit::make_c17();
+  return resolve_circuit(name).build();
+}
+
+CircuitSource resolve_circuit(const std::string& name) {
+  CircuitSource source;
+  source.selector = name;
+  source.key = name;
   if (name.size() > 6 && name.substr(name.size() - 6) == ".bench") {
-    return circuit::read_bench_file(name);
+    std::ifstream in(name, std::ios::binary);
+    if (!in) {
+      throw IoError("cannot open .bench file: " + name);
+    }
+    std::ostringstream bytes;
+    bytes << in.rdbuf();
+    std::string text = bytes.str();
+    char hash[24];
+    std::snprintf(hash, sizeof hash, "#%016llx",
+                  static_cast<unsigned long long>(util::fnv1a(text)));
+    source.key += hash;
+    source.bench_text = std::move(text);
   }
+  return source;
+}
+
+circuit::Circuit CircuitSource::build() const {
+  const std::string& name = selector;
+  if (bench_text.has_value()) {
+    return circuit::read_bench_string(*bench_text,
+                                      circuit::bench_circuit_name(name));
+  }
+  if (name == "c17") return circuit::make_c17();
 
   // "<family><N>" selectors.
   std::size_t digits = name.size();

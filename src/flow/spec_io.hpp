@@ -27,6 +27,7 @@
 #pragma once
 
 #include <iosfwd>
+#include <optional>
 #include <string>
 
 #include "circuit/netlist.hpp"
@@ -56,8 +57,27 @@ std::string write_spec_string(const SpecFile& file);
 /// Build a circuit from a spec-file selector: "c17", "mult<N>",
 /// "adder<N>", "alu<N>", "comparator<N>", "decoder<N>", "parity<N>",
 /// "majority<N>", "mux<N>", "barrel<N>", or a path ending in ".bench"
-/// (read via circuit::read_bench_file). Throws lsiq::Error for an unknown
-/// selector.
+/// (named by circuit::bench_circuit_name). Throws lsiq::Error for an
+/// unknown selector and IoError for an unreadable .bench path.
 circuit::Circuit circuit_from_name(const std::string& name);
+
+/// A circuit selector resolved to the content it names: what the artifact
+/// cache keys a circuit on. A generator selector names its generator's
+/// output, so the selector is the key. A .bench path names the file's
+/// bytes: resolving reads them once, the key adds their FNV-1a hash, and
+/// build() parses those same bytes, so an edit between keying and
+/// building cannot file one netlist under another's key.
+struct CircuitSource {
+  std::string selector;
+  std::string key;
+  std::optional<std::string> bench_text;  ///< the bytes of a .bench path
+
+  /// What circuit_from_name(selector) returns (it is build() of
+  /// resolve_circuit). Throws lsiq::Error for an unknown selector.
+  [[nodiscard]] circuit::Circuit build() const;
+};
+
+/// Resolve a selector; throws IoError when a .bench path cannot be read.
+CircuitSource resolve_circuit(const std::string& name);
 
 }  // namespace lsiq::flow

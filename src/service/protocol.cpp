@@ -143,6 +143,7 @@ std::string stats_response(const ServiceStats& stats) {
   out += ",\"cache_entries\":" + std::to_string(stats.cache.entries);
   out += ",\"cache_cost\":" + std::to_string(stats.cache.cost);
   out += ",\"cache_max_cost\":" + std::to_string(stats.cache.max_cost);
+  out += ",\"cache_proofs\":" + std::to_string(stats.cache.proofs);
   out += "}";
   return out;
 }

@@ -80,7 +80,8 @@ struct Request {
 /// list header: {"ok":true,"count":N}
 [[nodiscard]] std::string list_header_response(std::size_t count);
 
-/// stats: {"ok":true,"queued":...,...,"cache_evictions":...}
+/// stats: {"ok":true,"queued":...,...,"cache_evictions":...,
+///        "cache_proofs":...}
 [[nodiscard]] std::string stats_response(const ServiceStats& stats);
 
 /// ping: {"ok":true,"version":...}

@@ -38,8 +38,11 @@
 //     equivalent of batch --resume.
 //   * Bounded memory — the shared ArtifactCache is cost-bounded
 //     (cache_max_cost) so a daemon that has seen thousands of products
-//     holds only the hot set; stats() exposes hits/misses/evictions and
-//     the live cost.
+//     holds only the hot set; stats() exposes hits/misses/evictions, the
+//     live cost and the redundancy proofs built.
+//   * Fresh inputs — the cache keys a .bench netlist on its bytes, so a
+//     netlist edited behind the daemon is rebuilt (and re-proved) on the
+//     next job that names it.
 #pragma once
 
 #include <atomic>

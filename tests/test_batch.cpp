@@ -481,6 +481,29 @@ TEST_F(BatchTest, ArtifactsAreSharedAcrossSpecs) {
   EXPECT_EQ(cold.canonical(), warm.canonical());
 }
 
+TEST_F(BatchTest, TwoSweepsProveEachCircuitOnce) {
+  // The transition-coverage sweep (mult16: 5 stuck-at and 6 transition
+  // specs) and the BIST-aliasing sweep (mult8: 9 stuck-at specs) as one
+  // batch on 2 lanes: three universes over two circuits, so the analyze
+  // gate proves exactly two circuits however the lanes interleave.
+  const std::string sweeps = std::string(LSIQ_SOURCE_DIR) +
+                             "/tools/specs/sweeps/";
+  std::vector<std::string> specs =
+      read_manifest(sweeps + "transition_coverage.list");
+  const std::vector<std::string> bist =
+      read_manifest(sweeps + "bist_aliasing.list");
+  specs.insert(specs.end(), bist.begin(), bist.end());
+  ASSERT_EQ(specs.size(), 20u);
+  const BatchResult result = run_batch(specs, fast_options());
+  EXPECT_EQ(result.ok_count, 20u);
+  EXPECT_EQ(result.cache_proofs, 2u);
+  EXPECT_EQ(result.cache_misses, 3u);
+  EXPECT_EQ(result.cache_hits, 17u);
+  EXPECT_NE(result.summary().find("; 2 circuit proofs built"),
+            std::string::npos)
+      << result.summary();
+}
+
 TEST_F(BatchTest, CacheEvictsLeastRecentlyUsedUnderCostBound) {
   // Learn the real cost of three products first (costs are circuit
   // sizes — pinning literals here would break on generator changes),

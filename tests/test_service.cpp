@@ -19,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "circuit/bench_io.hpp"
+#include "fault_model/universe.hpp"
 #include "flow/batch.hpp"
 #include "service/protocol.hpp"
 #include "service/server.hpp"
@@ -437,6 +439,46 @@ TEST_F(ServiceTest, HundredJobRunStaysUnderCacheBoundWithEvictions) {
   }
 }
 
+TEST_F(ServiceTest, EditedBenchBehindARunningServiceIsRebuilt) {
+  // A long-lived service must not serve the old netlist (or its proof)
+  // after the .bench a spec references is rewritten: the second job of
+  // the same spec misses the cache and grades the new circuit.
+  const fs::path bench = dir_ / "product.bench";
+  const auto write_bench = [&](const std::string& text) {
+    std::ofstream out(bench, std::ios::trunc);
+    out << text;
+  };
+  const std::string small = "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n";
+  const std::string large =
+      "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
+      "t = NAND(a, b)\ny = OR(t, c)\nz = XOR(a, c)\n";
+  const auto classes_of = [](const std::string& text) {
+    return fault_model::universe(circuit::read_bench_string(text),
+                                 fault_model::FaultModel::kStuckAt)
+        .class_count();
+  };
+  ASSERT_NE(classes_of(small), classes_of(large));
+  write_bench(small);
+  const std::string spec = write_spec(
+      "product.spec", "circuit = " + bench.string() +
+                          "\nsource = lfsr\npatterns = 16\nobserve = full\n"
+                          "engine = ppsfp\nchips = 0\nyield = 0.1\nn0 = 5\n");
+
+  FlowService service(lane1_options());
+  const JobInfo first = service.wait(service.submit(spec));
+  ASSERT_EQ(first.record.status, "ok") << first.record.error;
+  EXPECT_EQ(first.record.classes, classes_of(small));
+
+  write_bench(large);
+  const JobInfo second = service.wait(service.submit(spec));
+  ASSERT_EQ(second.record.status, "ok") << second.record.error;
+  EXPECT_EQ(second.record.classes, classes_of(large));
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.cache.misses, 2u);
+  EXPECT_EQ(stats.cache.hits, 0u);
+  EXPECT_EQ(stats.cache.entries, 1u);
+}
+
 // ---- the wire protocol ----
 
 TEST(ServiceProtocol, RequestRoundTrips) {
@@ -562,6 +604,12 @@ TEST_F(ServiceTest, SocketServerRoundTrip) {
     const auto result = parse(client.read_line());
     EXPECT_EQ(json::find(result, "status", Kind::kString)->text, "ok");
     EXPECT_GT(json::find(result, "patterns", Kind::kNumber)->number, 0.0);
+
+    // stats carries the cache counters, the proofs built among them.
+    client.send_line("{\"op\":\"stats\"}");
+    const auto stats = parse(client.read_line());
+    EXPECT_EQ(json::find(stats, "cache_misses", Kind::kNumber)->number, 1.0);
+    EXPECT_EQ(json::find(stats, "cache_proofs", Kind::kNumber)->number, 1.0);
 
     // Unknown jobs are a structured refusal, not a dropped connection.
     client.send_line("{\"op\":\"result\",\"job\":999}");
