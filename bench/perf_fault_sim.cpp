@@ -273,11 +273,10 @@ void BM_Bist_Session(benchmark::State& state) {
   const circuit::Circuit c = circuit::make_array_multiplier(8);
   const fault::FaultList faults = fault::FaultList::full_universe(c);
   bist::BistConfig config;
-  config.pattern_count = 512;
-  config.lfsr_seed = 29;
   config.misr_width = 8;
   config.num_threads = 1;
-  const bist::BistSession session(faults, config);
+  const bist::BistSession session(
+      faults, tpg::lfsr_patterns(c.pattern_inputs().size(), 512, 29), config);
   for (auto _ : state) {
     const bist::BistResult r = session.run();
     benchmark::DoNotOptimize(r.signature_coverage);

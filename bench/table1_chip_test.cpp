@@ -60,7 +60,7 @@ int main() {
   spec.source.lfsr_seed = 1981;
   spec.observe.kind = "progressive";
   spec.observe.strobe_step = 24;  // output pin i strobed from pattern 24*i
-  spec.engine.kind = "ppsfp_mt";
+  spec.engine.kind = "ppsfp";
   spec.engine.num_threads = 0;  // one PPSFP worker per hardware thread
   spec.lot.chip_count = 277;
   spec.lot.yield = 0.07;

@@ -31,7 +31,7 @@ int main() {
   // The quality context and the axes shared by both phases: coverage-only
   // (no lot), graded on the multi-threaded compiled engine.
   flow::FlowSpec spec;
-  spec.engine.kind = "ppsfp_mt";
+  spec.engine.kind = "ppsfp";
   spec.engine.num_threads = 0;  // one worker per hardware thread
   spec.lot.chip_count = 0;      // no lot: source-vs-source comparison
   spec.lot.yield = 0.25;        // the product's characterization context

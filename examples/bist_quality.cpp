@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   spec.source.pattern_count = tiny ? 256 : 1024;
   spec.source.lfsr_seed = 1981;
   spec.observe.kind = "misr";
-  spec.engine.kind = "ppsfp_mt";
+  spec.engine.kind = "ppsfp";
   spec.engine.num_threads = 0;  // grade with every hardware thread
   spec.lot.chip_count = 0;
   spec.lot.yield = 0.07;
@@ -62,10 +62,9 @@ int main(int argc, char** argv) {
   // 1. Determinism: the same session must grade bit-identically with 1,
   // 2 and 8 workers (each fault class is owned by exactly one lane).
   spec.observe.misr_width = 32;
-  spec.engine.kind = "ppsfp";  // exactly one grading worker
+  spec.engine.num_threads = 1;  // exactly one grading worker
   const flow::FlowResult single = flow::run(faults, spec);
   const bist::BistResult& reference = *single.bist;
-  spec.engine.kind = "ppsfp_mt";
   bool deterministic = true;
   for (const std::size_t threads : {2u, 8u}) {
     spec.engine.num_threads = threads;

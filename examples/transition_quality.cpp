@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
   spec.source.lfsr_seed = 1981;
   spec.observe.kind = "progressive";
   spec.observe.strobe_step = tiny ? 16 : 24;
-  spec.engine.kind = "ppsfp_mt";
+  spec.engine.kind = "ppsfp";
   spec.engine.num_threads = 0;
   spec.lot.chip_count = 277;
   spec.lot.yield = 0.07;

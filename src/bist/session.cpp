@@ -4,7 +4,6 @@
 #include <bit>
 
 #include "fault/block_driver.hpp"
-#include "tpg/lfsr.hpp"
 #include "util/error.hpp"
 
 namespace lsiq::bist {
@@ -61,36 +60,21 @@ std::shared_ptr<const CompiledCircuit> session_compiled(
 
 }  // namespace
 
-BistSession::BistSession(const fault::FaultList& faults, BistConfig config)
-    : faults_(&faults),
-      config_(config),
-      compiled_(session_compiled(config, faults.circuit())),
-      patterns_(tpg::lfsr_patterns(faults.circuit().pattern_inputs().size(),
-                                   config.pattern_count, config.lfsr_seed,
-                                   config.lfsr_width)) {
-  LSIQ_EXPECT(config.pattern_count > 0,
-              "BistSession: pattern_count must be > 0");
-  // Validate the MISR parameters up front, not at run() time.
-  (void)Misr(config_.misr_width, config_.misr_taps);
-}
-
 BistSession::BistSession(const fault::FaultList& faults,
                          sim::PatternSet patterns, BistConfig config)
     : faults_(&faults),
-      config_(config),
-      compiled_(session_compiled(config, faults.circuit())),
+      config_(std::move(config)),
+      compiled_(session_compiled(config_, faults.circuit())),
       patterns_(std::move(patterns)) {
   LSIQ_EXPECT(!patterns_.empty(),
-              "BistSession: explicit pattern set must be non-empty");
+              "BistSession: the pattern program must be non-empty");
   LSIQ_EXPECT(patterns_.input_count() ==
                   faults.circuit().pattern_inputs().size(),
               "BistSession: pattern set input count does not match the "
               "circuit");
-  config_.pattern_count = patterns_.size();
+  // Validate the MISR parameters up front, not at run() time.
   (void)Misr(config_.misr_width, config_.misr_taps);
 }
-
-BistResult BistSession::run() const { return run(config_.num_threads); }
 
 namespace {
 
@@ -167,13 +151,13 @@ struct SignatureGrader : fault::BlockConsumer {
 
 }  // namespace
 
-BistResult BistSession::run(std::size_t num_threads) const {
+BistResult BistSession::run() const {
   const fault::FaultList& faults = *faults_;
   const std::size_t classes = faults.class_count();
   const Misr misr(config_.misr_width, config_.misr_taps);
   SignatureGrader grader(misr, *compiled_, patterns_, classes);
-  fault::drive_blocks(faults, patterns_, nullptr, compiled_, num_threads, 0,
-                      classes, grader);
+  fault::drive_blocks(faults, patterns_, nullptr, compiled_,
+                      config_.num_threads, 0, classes, grader);
 
   // Fold per-class outcomes into the result.
   BistResult result;

@@ -1,10 +1,13 @@
-// Logic-BIST session: LFSR pattern generation, MISR response compaction,
-// and exact signature-aliasing fault grading.
+// Logic-BIST session: MISR response compaction and exact
+// signature-aliasing fault grading.
 //
 // The paper's quality model assumes the tester observes every output on
 // every pattern; BIST observes ONE k-bit signature per session. This
-// module measures what that costs. A session runs the configured LFSR
-// program through the PPSFP block driver (fault/block_driver.hpp), folds
+// module measures what that costs. The pattern generator is the caller's:
+// a session compacts whatever program it is given (an LFSR program from
+// tpg::lfsr_patterns, an ATPG set, a pattern file), the way flow::run
+// splits its `source` and `observe` axes. A session runs the program
+// through the PPSFP block driver (fault/block_driver.hpp), folds
 // the good-machine responses into the reference signature, and grades
 // every collapsed fault class two ways:
 //
@@ -38,13 +41,6 @@
 namespace lsiq::bist {
 
 struct BistConfig {
-  /// LFSR patterns applied per session (ignored — and overwritten with the
-  /// actual program length — when the session is given an explicit pattern
-  /// set, so config().pattern_count always matches patterns().size()).
-  std::size_t pattern_count = 1024;
-  /// Pattern-generator register (see tpg::Lfsr widths) and seed.
-  int lfsr_width = 32;
-  std::uint64_t lfsr_seed = 1;
   /// Signature register: width k sets the 2^-k aliasing regime; taps 0
   /// selects the standard polynomial for the width (see bist::Misr).
   int misr_width = 32;
@@ -59,24 +55,18 @@ struct BistConfig {
   std::size_t num_threads = 1;
 
   /// When non-null, a compiled view of the session's circuit to share
-  /// instead of recompiling at construction (the batch runner's artifact
-  /// cache). Must match the FaultList's circuit.
+  /// instead of recompiling at construction (flow::run passes its circuit
+  /// bundle's). Must match the FaultList's circuit.
   std::shared_ptr<const circuit::CompiledCircuit> compiled;
 };
 
-/// One configured BIST session over a fault universe. Compiles the
-/// circuit and generates the LFSR program at construction; run() grades
-/// it. The FaultList (and its Circuit) must outlive the session.
+/// One configured BIST session over a fault universe and a non-empty
+/// pattern program (any flow::PatternSourceSpec can feed a signature
+/// tester). Compiles the circuit at construction unless the config
+/// shares a compiled view; run() grades it. The FaultList (and its
+/// Circuit) must outlive the session.
 class BistSession {
  public:
-  BistSession(const fault::FaultList& faults, BistConfig config);
-
-  /// A session over an explicit pattern program instead of the config's
-  /// LFSR: the MISR observation decoupled from the pattern source (any
-  /// flow::PatternSourceSpec — ATPG sets, pattern files — can feed a
-  /// signature tester). The config's LFSR fields are ignored and its
-  /// pattern_count is overwritten with patterns.size(), so the session's
-  /// accounting cannot drift from the program actually applied.
   BistSession(const fault::FaultList& faults, sim::PatternSet patterns,
               BistConfig config);
 
@@ -85,11 +75,8 @@ class BistSession {
     return patterns_;
   }
 
-  /// Grade the session with config().num_threads workers.
+  /// Grade the session on config().num_threads lanes.
   [[nodiscard]] BistResult run() const;
-
-  /// Same session, explicit worker count (bit-identical for any value).
-  [[nodiscard]] BistResult run(std::size_t num_threads) const;
 
  private:
   const fault::FaultList* faults_;

@@ -11,11 +11,11 @@ namespace lsiq::flow {
 // ---- CircuitBundle ----
 
 CircuitBundle::CircuitBundle(
-    circuit::Circuit circuit,
+    std::shared_ptr<const circuit::Circuit> circuit,
     std::shared_ptr<std::atomic<std::size_t>> proof_counter)
-    // The circuit is heap-allocated FIRST and never moves afterwards: the
-    // compiled view and every universe over it hold references into it.
-    : circuit_(std::make_unique<const circuit::Circuit>(std::move(circuit))),
+    // The circuit lives behind the handle and never moves: the compiled
+    // view and every universe over it hold references into it.
+    : circuit_(std::move(circuit)),
       compiled_(std::make_shared<const circuit::CompiledCircuit>(*circuit_)),
       proof_counter_(std::move(proof_counter)) {}
 
@@ -59,11 +59,10 @@ std::shared_ptr<const ArtifactCache::Artifacts> ArtifactCache::get(
   }
   // Build outside the map so a throwing build caches nothing.
   if (bundle == nullptr) {
-    bundle = std::make_shared<const CircuitBundle>(source.build(), proofs_);
+    bundle = std::make_shared<const CircuitBundle>(
+        std::make_shared<const circuit::Circuit>(source.build()), proofs_);
   }
   auto artifacts = std::make_shared<Artifacts>();
-  artifacts->circuit =
-      std::shared_ptr<const circuit::Circuit>(bundle, &bundle->circuit());
   artifacts->compiled = bundle->compiled();
   artifacts->faults = std::make_unique<const fault::FaultList>(
       fault_model::universe(bundle->circuit(), model));
@@ -114,16 +113,6 @@ ArtifactCache::Stats ArtifactCache::stats() const {
   stats.max_cost = max_cost_;
   stats.proofs = *proofs_;
   return stats;
-}
-
-std::size_t ArtifactCache::hits() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::size_t ArtifactCache::misses() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
 }
 
 std::size_t ArtifactCache::cost_of(const Artifacts& artifacts) {

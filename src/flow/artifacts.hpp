@@ -37,11 +37,13 @@ namespace lsiq::flow {
 /// request. Immutable apart from that once-built proof; thread-safe.
 class CircuitBundle {
  public:
-  /// Compiles `circuit`, which must be finalized. `proof_counter`, when
-  /// non-null, counts each proof this bundle builds (ArtifactCache
-  /// passes its Stats::proofs counter).
+  /// Compiles `*circuit`, which must be finalized. The cache hands over a
+  /// circuit it owns; a cold flow::run passes a non-owning handle to its
+  /// universe's circuit, which must then outlive the bundle.
+  /// `proof_counter`, when non-null, counts each proof this bundle builds
+  /// (ArtifactCache passes its Stats::proofs counter).
   explicit CircuitBundle(
-      circuit::Circuit circuit,
+      std::shared_ptr<const circuit::Circuit> circuit,
       std::shared_ptr<std::atomic<std::size_t>> proof_counter = nullptr);
 
   [[nodiscard]] const circuit::Circuit& circuit() const noexcept {
@@ -59,7 +61,7 @@ class CircuitBundle {
   [[nodiscard]] const analyze::RedundancyReport& redundancy() const;
 
  private:
-  std::unique_ptr<const circuit::Circuit> circuit_;
+  std::shared_ptr<const circuit::Circuit> circuit_;
   std::shared_ptr<const circuit::CompiledCircuit> compiled_;
   std::shared_ptr<std::atomic<std::size_t>> proof_counter_;
   mutable std::mutex proof_mutex_;
@@ -94,10 +96,8 @@ class CircuitBundle {
 class ArtifactCache {
  public:
   struct Artifacts {
-    /// The circuit's bundle. `circuit` aliases it (and keeps it alive);
-    /// `compiled` is its compiled view.
+    /// The circuit's bundle; `compiled` is its compiled view.
     std::shared_ptr<const CircuitBundle> bundle;
-    std::shared_ptr<const circuit::Circuit> circuit;
     std::unique_ptr<const fault::FaultList> faults;
     std::shared_ptr<const circuit::CompiledCircuit> compiled;
   };
@@ -131,8 +131,6 @@ class ArtifactCache {
   void set_max_cost(std::size_t max_cost);
 
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t hits() const;
-  [[nodiscard]] std::size_t misses() const;
 
   /// The cost charged for one entry (compiled node count) — exposed so
   /// tests and capacity planning can size max_cost in the same unit.

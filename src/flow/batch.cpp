@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -120,6 +121,11 @@ std::uint64_t hash_spec_file(const std::string& path) {
   return util::fnv1a(bytes.str());
 }
 
+bool resumable(const BatchRecord& record, const std::string& path) {
+  return record.status == "ok" && record.hash != 0 &&
+         record.hash == hash_spec_file(path);
+}
+
 // ---- RetryPolicy ----
 
 int RetryPolicy::backoff_ms(int attempt) const {
@@ -173,6 +179,15 @@ std::optional<BatchRecord> BatchRecord::from_jsonl(const std::string& line) {
   const std::optional<ErrorCode> parsed_code =
       error_code_from_name(code->text);
   if (!parsed_code.has_value()) return std::nullopt;
+  // Counts outside their type's range (or not integers at all) are a
+  // torn or foreign line, like any other malformation.
+  const std::optional<std::int64_t> attempt_count =
+      json::integer(*attempts, 0, INT_MAX);
+  const std::optional<std::int64_t> pattern_count =
+      json::integer(*patterns, 0, json::kMaxExactInteger);
+  const std::optional<std::int64_t> class_count =
+      json::integer(*classes, 0, json::kMaxExactInteger);
+  if (!attempt_count || !pattern_count || !class_count) return std::nullopt;
 
   BatchRecord record;
   record.spec = spec->text;
@@ -184,12 +199,12 @@ std::optional<BatchRecord> BatchRecord::from_jsonl(const std::string& line) {
   record.status = status->text;
   record.error_code = *parsed_code;
   record.transient = transient->boolean;
-  record.attempts = static_cast<int>(attempts->number);
+  record.attempts = static_cast<int>(*attempt_count);
   record.wall_ms = wall_ms != nullptr ? wall_ms->number : 0.0;
   const json::Value* resumed = json::find(values, "resumed", Kind::kBool);
   record.resumed = resumed != nullptr && resumed->boolean;
-  record.patterns = static_cast<std::size_t>(patterns->number);
-  record.classes = static_cast<std::size_t>(classes->number);
+  record.patterns = static_cast<std::size_t>(*pattern_count);
+  record.classes = static_cast<std::size_t>(*class_count);
   record.coverage = coverage->number;
   record.dppm = dppm->number;
   record.error = error->text;
@@ -395,10 +410,8 @@ BatchResult run_batch(const std::vector<std::string>& specs,
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto it = carried.find(specs[i]);
-    if (it == carried.end() || it->second.status != "ok") continue;
-    if (it->second.hash == 0 ||
-        it->second.hash != hash_spec_file(specs[i])) {
-      continue;  // spec changed since the checkpoint: rerun it
+    if (it == carried.end() || !resumable(it->second, specs[i])) {
+      continue;  // failed, or the spec changed since: rerun it
     }
     result.records[i] = it->second;
     result.records[i].resumed = true;

@@ -79,9 +79,9 @@ struct RetryPolicy {
 /// Everything run_batch needs besides the spec list.
 struct BatchOptions {
   /// Concurrent spec runners (util::resolve_worker_count convention:
-  /// 0 = one per hardware thread). Specs are independent; each runs its
-  /// own engine configuration, so batches of ppsfp_mt specs usually want
-  /// a small worker count here.
+  /// 0 = one per hardware thread). Specs are independent; each grades on
+  /// its own `threads` lanes, so a batch of specs that say `threads = 0`
+  /// (all cores) usually wants a small worker count here.
   std::size_t num_workers = 0;
 
   RetryPolicy retry;
@@ -107,9 +107,10 @@ struct BatchOptions {
 
   /// Lint-only dry run (`lsiq_flow --check --batch`): every spec is
   /// parsed, validated, resolved against its circuit and pushed through
-  /// the flow::check analyze gate, but nothing is graded. A gate refusal
-  /// is a "failed" record with error_code "lint" (permanent, no retry);
-  /// ok records carry the universe's class count with zero patterns.
+  /// the flow::check_detailed analyze gate, but nothing is graded. A gate
+  /// refusal is a "failed" record with error_code "lint" (permanent, no
+  /// retry); ok records carry the universe's class count with zero
+  /// patterns.
   bool check_only = false;
 
   /// ArtifactCache cost bound (see ArtifactCache::set_max_cost) for the
@@ -185,6 +186,11 @@ std::map<std::string, BatchRecord> load_result_store(const std::string& path);
 /// FNV-1a over the spec file's bytes; 0 when the file cannot be read (a
 /// record hashed 0 is never treated as resumable).
 std::uint64_t hash_spec_file(const std::string& path);
+
+/// The one resume rule of run_batch and the flow service: a stored
+/// record stands in for running the spec at `path` again when it is "ok"
+/// and its nonzero hash equals hash_spec_file(path).
+bool resumable(const BatchRecord& record, const std::string& path);
 
 /// The crash-isolation + retry boundary around ONE spec: run it under the
 /// options' deadline, retry transient failures per options.retry, and

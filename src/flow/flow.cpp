@@ -23,13 +23,6 @@ namespace lsiq::flow {
 
 namespace {
 
-/// Signature-grading workers for the misr path: the engine axis maps onto
-/// BistSession's thread count ("serial" is rejected by validate()).
-std::size_t misr_worker_count(const EngineSpec& engine) {
-  if (engine.kind == "ppsfp") return 1;
-  return engine.num_threads;  // ppsfp_mt: pool resolves 0 = all cores
-}
-
 /// The source axis minus an explicit source's pattern payload — what
 /// FlowResult stores for self-describing reports without duplicating the
 /// program (FlowResult::patterns is the canonical copy).
@@ -70,24 +63,35 @@ std::vector<quality::CoveragePoint> FlowResult::points() const {
 
 namespace {
 
-/// The analyze gate, proving the circuit itself (`bundle` null) or
-/// reading the bundle's proof.
-CheckOutcome check_gate(const fault::FaultList& faults, const FlowSpec& spec,
-                        const CircuitBundle* bundle) {
+/// The bundle of a call that holds no cached one: a non-owning handle to
+/// the universe's own circuit, compiled once for the whole call.
+CircuitBundle borrowed_bundle(const fault::FaultList& faults) {
+  return CircuitBundle(std::shared_ptr<const circuit::Circuit>(
+      std::shared_ptr<const circuit::Circuit>(), &faults.circuit()));
+}
+
+}  // namespace
+
+CheckOutcome check_detailed(const fault::FaultList& faults,
+                            const FlowSpec& spec) {
+  return check_detailed(faults, spec, borrowed_bundle(faults));
+}
+
+CheckOutcome check_detailed(const fault::FaultList& faults,
+                            const FlowSpec& spec,
+                            const CircuitBundle& bundle) {
   validate_or_throw(spec);
-  LSIQ_EXPECT(bundle == nullptr || &bundle->circuit() == &faults.circuit(),
+  LSIQ_EXPECT(&bundle.circuit() == &faults.circuit(),
               "flow: the fault list is not a universe over the bundle's "
               "circuit");
   CheckOutcome outcome;
   const analyze::Options options = analyze_options(spec.analyze);
   if (!options.any_enabled()) return outcome;
-  analyze::Report report =
-      bundle == nullptr
-          ? analyze::analyze(faults.circuit(), options)
-          : analyze::analyze(faults.circuit(), options,
-                             [bundle]() -> const analyze::RedundancyReport& {
-                               return bundle->redundancy();
-                             });
+  analyze::Report report = analyze::analyze(
+      faults.circuit(), options,
+      [&bundle]() -> const analyze::RedundancyReport& {
+        return bundle.redundancy();
+      });
   outcome.diagnostics = std::move(report.diagnostics);
   if (options.testability != analyze::Policy::kOff) {
     const analyze::TestabilityReport testability =
@@ -131,24 +135,6 @@ CheckOutcome check_gate(const fault::FaultList& faults, const FlowSpec& spec,
   return outcome;
 }
 
-}  // namespace
-
-std::vector<analyze::Diagnostic> check(const fault::FaultList& faults,
-                                       const FlowSpec& spec) {
-  return check_detailed(faults, spec).diagnostics;
-}
-
-CheckOutcome check_detailed(const fault::FaultList& faults,
-                            const FlowSpec& spec) {
-  return check_gate(faults, spec, nullptr);
-}
-
-CheckOutcome check_detailed(const fault::FaultList& faults,
-                            const FlowSpec& spec,
-                            const CircuitBundle& bundle) {
-  return check_gate(faults, spec, &bundle);
-}
-
 sim::PatternSet make_patterns(const fault::FaultList& faults,
                               const PatternSourceSpec& source,
                               std::optional<tpg::AtpgResult>* atpg_out) {
@@ -185,15 +171,12 @@ sim::PatternSet make_patterns(const fault::FaultList& faults,
               ErrorCode::kInvalidSpec);
 }
 
-namespace {
+FlowResult run(const fault::FaultList& faults, const FlowSpec& spec) {
+  return run(faults, spec, borrowed_bundle(faults));
+}
 
-/// run() over `compiled` (null: the engines compile) with the gate
-/// proving the circuit itself (`bundle` null) or reading the bundle's
-/// proof.
-FlowResult run_flow(
-    const fault::FaultList& faults, const FlowSpec& spec,
-    const std::shared_ptr<const circuit::CompiledCircuit>& compiled,
-    const CircuitBundle* bundle) {
+FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
+               const CircuitBundle& bundle) {
   LSIQ_FAILPOINT("flow.run");
   validate_or_throw(spec);
   // validate() guaranteed the name resolves; the list must agree with the
@@ -217,7 +200,7 @@ FlowResult run_flow(
   // 0. The pre-run analyze gate: lint the netlist before any engine
   // spends time on it. An error-policy finding throws LintError here;
   // warnings and the static-redundancy census ride along on the result.
-  CheckOutcome gate = check_gate(faults, spec, bundle);
+  CheckOutcome gate = check_detailed(faults, spec, bundle);
   result.lint = std::move(gate.diagnostics);
   result.statically_redundant_classes = gate.statically_redundant_classes;
   result.statically_redundant_faults = gate.statically_redundant_faults;
@@ -240,14 +223,14 @@ FlowResult run_flow(
   const std::size_t pattern_count = result.patterns.size();
 
   // 2. Grade it under the requested observation with the requested engine
-  // (the LAMP step of Section 7).
+  // on spec.engine.num_threads lanes (the LAMP step of Section 7).
   LSIQ_FAILPOINT("flow.grade");
   if (spec.observe.kind == "misr") {
     bist::BistConfig config;
     config.misr_width = spec.observe.misr_width;
     config.misr_taps = spec.observe.misr_taps;
-    config.num_threads = misr_worker_count(spec.engine);
-    config.compiled = compiled;
+    config.num_threads = spec.engine.num_threads;
+    config.compiled = bundle.compiled();
     const bist::BistSession session(faults, result.patterns, config);
     result.bist = session.run();
     result.curve = result.bist->signature_curve(faults);
@@ -265,14 +248,10 @@ FlowResult run_flow(
       // the shared view is not used here.
       result.fault_sim = fault::simulate_serial(faults, result.patterns,
                                                 strobes);
-    } else if (spec.engine.kind == "ppsfp") {
-      result.fault_sim = fault::simulate_ppsfp(faults, result.patterns,
-                                               strobes, compiled);
     } else {
-      result.fault_sim = fault::simulate_ppsfp_mt(faults, result.patterns,
-                                                  strobes,
-                                                  spec.engine.num_threads,
-                                                  compiled);
+      result.fault_sim = fault::simulate_ppsfp_mt(
+          faults, result.patterns, strobes, spec.engine.num_threads,
+          bundle.compiled());
     }
     result.curve = result.fault_sim->curve(faults, pattern_count);
   }
@@ -330,18 +309,6 @@ FlowResult run_flow(
   return result;
 }
 
-}  // namespace
-
-FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
-               std::shared_ptr<const circuit::CompiledCircuit> compiled) {
-  return run_flow(faults, spec, compiled, nullptr);
-}
-
-FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
-               const CircuitBundle& bundle) {
-  return run_flow(faults, spec, bundle.compiled(), &bundle);
-}
-
 FlowResult run(const circuit::Circuit& circuit, const FlowSpec& spec) {
   // Validate before enumerating anything so a bad fault_model name is an
   // InvalidSpec, not an internal error while picking the universe.
@@ -362,9 +329,9 @@ std::string FlowResult::report() const {
   out << "flow: model=" << spec.fault_model.kind
       << " source=" << spec.source.kind
       << " observe=" << spec.observe.kind << " engine=" << spec.engine.kind;
-  if (spec.engine.kind == "ppsfp_mt") {
-    out << " (" << util::resolve_worker_count(spec.engine.num_threads)
-        << " workers)";
+  const std::size_t lanes = util::resolve_worker_count(spec.engine.num_threads);
+  if (spec.engine.kind == "ppsfp" && lanes > 1) {
+    out << " (" << lanes << " workers)";
   }
   out << "\n  program: " << patterns.size() << " patterns over "
       << patterns.input_count() << " inputs";

@@ -100,15 +100,14 @@ sim::PatternSet make_patterns(
     const fault::FaultList& faults, const PatternSourceSpec& source,
     std::optional<tpg::AtpgResult>* atpg_out = nullptr);
 
-/// Run a spec against a collapsed fault universe. The list's model
-/// (FaultList::model()) must match spec.fault_model. Throws InvalidSpec
-/// when validate(spec) reports issues, and lsiq::Error when a strobe
-/// coverage is never reached by the materialized program.
-///
-/// `compiled`, when non-null, must be a compiled view of
-/// faults.circuit(); the grading engines use it instead of recompiling.
-/// Results are bit-identical either way. The analyze gate still proves
-/// the circuit here; the CircuitBundle overload below reuses a proof.
+/// Run a spec against a collapsed fault universe over a circuit's shared
+/// artifacts: `faults` must be a universe over bundle.circuit(), and its
+/// model (FaultList::model()) must match spec.fault_model. The gate reads
+/// the bundle's proof (proving it on the bundle's first use) and grading
+/// uses its compiled view, so the batch runner and the flow service
+/// prove each circuit once for many specs. Throws InvalidSpec when
+/// validate(spec) reports issues, and lsiq::Error when a strobe coverage
+/// is never reached by the materialized program.
 ///
 /// Failure injection and cancellation: run() passes the named failpoint
 /// sites "flow.run" (entry), "flow.patterns" (pattern materialization)
@@ -117,27 +116,13 @@ sim::PatternSet make_patterns(
 /// (util/deadline.hpp) once per 64-pattern block, so a caller-installed
 /// DeadlineScope bounds a wedged run.
 FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
-               std::shared_ptr<const circuit::CompiledCircuit> compiled =
-                   nullptr);
-
-/// run() over a circuit's shared artifacts: `faults` must be a universe
-/// over bundle.circuit(). The gate reads the bundle's proof (proving it
-/// on the bundle's first use) and grading uses its compiled view — how
-/// the batch runner and the flow service prove each circuit once for
-/// many specs. Results are byte-identical to the cold overload's.
-FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
                const CircuitBundle& bundle);
 
-/// The pre-run lint gate on its own: run the spec's analyze section over
-/// the universe's circuit without materializing patterns or grading
-/// anything. Returns the warn-severity diagnostics; throws
-/// analyze::LintError (ErrorCode::kLint, permanent) when any enabled rule
-/// class set to "error" fired, and InvalidSpec when validate() rejects
-/// the spec. run() calls this before touching the pattern source; the
-/// `lsiq_flow --check` mode and the batch runner's check-only mode call
-/// it directly.
-std::vector<analyze::Diagnostic> check(const fault::FaultList& faults,
-                                       const FlowSpec& spec);
+/// run() for a caller that holds no bundle: it runs on a bundle that
+/// borrows faults.circuit() for the call, so the circuit compiles once
+/// and is proved at most once. Results are byte-identical to the bundle
+/// overload's.
+FlowResult run(const fault::FaultList& faults, const FlowSpec& spec);
 
 /// What the pre-run gate learned: the warn-severity diagnostics plus the
 /// static-redundancy census over the universe (see the FlowResult fields
@@ -149,16 +134,22 @@ struct CheckOutcome {
   std::size_t statically_redundant_faults = 0;
 };
 
-/// check() with the static-redundancy census. Same throwing behavior.
-CheckOutcome check_detailed(const fault::FaultList& faults,
-                            const FlowSpec& spec);
-
-/// check_detailed() reading the implication prover's proof from `bundle`
-/// (see the bundle overload of run()); `faults` must be a universe over
-/// bundle.circuit(). The outcome and any LintError are byte-identical to
-/// the cold overload's.
+/// The pre-run lint gate on its own: run the spec's analyze section over
+/// the universe's circuit, reading the implication prover's proof from
+/// `bundle` (`faults` must be a universe over bundle.circuit()), without
+/// materializing patterns or grading anything. Throws analyze::LintError
+/// (ErrorCode::kLint, permanent) when any enabled rule class set to
+/// "error" fired, and InvalidSpec when validate() rejects the spec. run()
+/// calls this before touching the pattern source; the `lsiq_flow --check`
+/// mode and the batch runner's check-only mode call it directly.
 CheckOutcome check_detailed(const fault::FaultList& faults,
                             const FlowSpec& spec, const CircuitBundle& bundle);
+
+/// check_detailed() on a bundle that borrows faults.circuit() for the
+/// call. The outcome and any LintError are byte-identical to the bundle
+/// overload's.
+CheckOutcome check_detailed(const fault::FaultList& faults,
+                            const FlowSpec& spec);
 
 /// Convenience overload: enumerate the spec's fault-model universe of the
 /// circuit (fault_model::universe) first, then run.

@@ -137,19 +137,13 @@ std::vector<SpecIssue> validate(const FlowSpec& spec) {
 
   // ---- axis 3: engine ----
   const EngineSpec& engine = spec.engine;
-  if (!one_of(engine.kind, {"serial", "ppsfp", "ppsfp_mt"})) {
+  if (!one_of(engine.kind, {"serial", "ppsfp"})) {
     add("engine.kind", "unknown engine '" + engine.kind +
-                           "' (expected serial, ppsfp, or ppsfp_mt)");
-  } else {
-    if (engine.kind == "serial" && misr) {
-      add("engine.kind",
-          "the serial engine has no signature-grading mode; use ppsfp or "
-          "ppsfp_mt with misr observation");
-    }
-    if (engine.kind == "ppsfp" && engine.num_threads > 1) {
-      add("engine.num_threads",
-          "ppsfp is single-threaded; use ppsfp_mt for num_threads > 1");
-    }
+                           "' (expected serial or ppsfp)");
+  } else if (engine.kind == "serial" && misr) {
+    add("engine.kind",
+        "the serial engine has no signature-grading mode; use ppsfp with "
+        "misr observation");
   }
   if (engine.grade_width != 1) {
     add("engine.grade_width", "grade_width must be 1, got " +

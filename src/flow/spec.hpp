@@ -16,8 +16,8 @@
 //                     (lfsr | atpg | explicit | file)
 //   Observation    -- what the tester compares
 //                     (full | progressive | misr)
-//   Engine         -- which grading engine runs it
-//                     (serial | ppsfp | ppsfp_mt)
+//   Engine         -- which grading engine runs it, on how many lanes
+//                     (serial | ppsfp, threads)
 //   Lot + Analysis -- the virtual lot, the Table-1 strobe readout, the
 //                     characterization estimator and the DPPM targets
 //
@@ -100,15 +100,17 @@ struct ObservationSpec {
 
 /// Axis 3: which grading engine runs the program.
 struct EngineSpec {
-  /// "serial" (reference engine), "ppsfp" (single-threaded production
-  /// engine) or "ppsfp_mt" (worker pool). All three grade
-  /// bit-identically; "serial" has no signature-grading mode, so misr
-  /// observation requires ppsfp or ppsfp_mt.
+  /// "serial" (the reference engine) or "ppsfp" (the production engine).
+  /// Both grade bit-identically; "serial" has no signature-grading mode,
+  /// so misr observation requires ppsfp.
   std::string kind = "ppsfp";
 
-  /// Workers for "ppsfp_mt" (and for misr signature grading): the shared
-  /// util::resolve_worker_count convention — 0 = one per hardware thread.
-  std::size_t num_threads = 0;
+  /// The one lane count of a ppsfp run: its fault grade and its misr
+  /// signature grade both run on this many lanes, under the shared
+  /// util::resolve_worker_count convention (0 = one per hardware thread,
+  /// n = exactly n). Every value grades bit-identically. The serial
+  /// engine ignores it.
+  std::size_t num_threads = 1;
 
   /// Grading word width in 64-pattern units. Only 1 is valid (validate()
   /// rejects anything else) and no spec key sets it; the field remains

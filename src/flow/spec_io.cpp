@@ -206,6 +206,13 @@ SpecFile read_spec(std::istream& in) {
     // for the all-defaults experiment.
     throw ParseError("spec: no 'key = value' lines (empty spec file)");
   }
+  // "ppsfp_mt" is the old name of ppsfp on a worker pool. It reads as
+  // ppsfp with that engine's old lane default (0 = all cores), so a spec
+  // file that says it keeps its bytes, its record hash and its lanes.
+  if (file.spec.engine.kind == "ppsfp_mt") {
+    file.spec.engine.kind = "ppsfp";
+    if (!first_seen.contains("threads")) file.spec.engine.num_threads = 0;
+  }
   return file;
 }
 
@@ -259,7 +266,7 @@ std::string write_spec_string(const SpecFile& file) {
     }
   }
   out << "engine = " << spec.engine.kind << "\n";
-  if (spec.engine.kind == "ppsfp_mt") {
+  if (spec.engine.num_threads != EngineSpec{}.num_threads) {
     out << "threads = " << spec.engine.num_threads << "\n";
   }
   out << "chips = " << spec.lot.chip_count << "\n"

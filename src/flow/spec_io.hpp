@@ -12,7 +12,7 @@
 //     lfsr_seed   = 1981
 //     observe     = progressive
 //     strobe_step = 24
-//     engine      = ppsfp_mt
+//     engine      = ppsfp
 //     threads     = 0
 //     chips       = 277
 //     yield       = 0.07
@@ -20,6 +20,10 @@
 //     strobes     = 0.05 0.08 0.10 0.15 0.20 0.30 0.36 0.45 0.50 0.65
 //     method      = least_squares
 //     targets     = 0.01 0.001
+//
+// `threads` is the lane count of the ppsfp grade (0 = all cores). The old
+// engine name `ppsfp_mt` still parses: it reads as `ppsfp`, with
+// `threads = 0` when the file gives no `threads` key.
 //
 // Parsing reports malformed input as lsiq::ParseError with a line number
 // (same contract as circuit/bench_io); semantic problems are left to

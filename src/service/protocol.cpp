@@ -1,5 +1,6 @@
 #include "service/protocol.hpp"
 
+#include <climits>
 #include <map>
 
 #include "util/json.hpp"
@@ -8,6 +9,23 @@
 namespace lsiq::service {
 
 namespace json = util::json;
+
+namespace {
+
+/// Read the optional number field `key` into *out. False when it is
+/// present but not a finite integer in [lo, hi].
+template <typename T>
+bool read_integer(const std::map<std::string, json::Value>& values,
+                  const char* key, std::int64_t lo, std::int64_t hi, T* out) {
+  const json::Value* value =
+      json::find(values, key, json::Value::Kind::kNumber);
+  if (value == nullptr) return true;
+  const std::optional<std::int64_t> parsed = json::integer(*value, lo, hi);
+  if (parsed.has_value()) *out = static_cast<T>(*parsed);
+  return parsed.has_value();
+}
+
+}  // namespace
 
 std::string format_request(const Request& request) {
   std::string out = "{\"op\":";
@@ -49,18 +67,14 @@ std::optional<Request> parse_request(const std::string& line) {
           json::find(values, "spec_text", Kind::kString)) {
     request.spec_text = text->text;
   }
-  if (const json::Value* priority =
-          json::find(values, "priority", Kind::kNumber)) {
-    request.priority = static_cast<int>(priority->number);
+  if (!read_integer(values, "priority", INT_MIN, INT_MAX,
+                    &request.priority) ||
+      !read_integer(values, "deadline_ms", INT_MIN, INT_MAX,
+                    &request.deadline_ms) ||
+      !read_integer(values, "job", 0, json::kMaxExactInteger, &request.job)) {
+    return std::nullopt;  // present but not an integer in range: malformed
   }
-  if (const json::Value* deadline =
-          json::find(values, "deadline_ms", Kind::kNumber)) {
-    request.deadline_ms = static_cast<int>(deadline->number);
-  }
-  if (const json::Value* job = json::find(values, "job", Kind::kNumber)) {
-    request.job = static_cast<std::uint64_t>(job->number);
-    request.has_job = true;
-  }
+  request.has_job = json::find(values, "job", Kind::kNumber) != nullptr;
   return request;
 }
 

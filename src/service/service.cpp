@@ -125,9 +125,8 @@ std::uint64_t FlowService::submit_locked(std::unique_lock<std::mutex>& lock,
   // without running it — the daemon twin of `--batch --resume`.
   if (options_.resume) {
     const auto it = resume_records_.find(spec_path);
-    if (it != resume_records_.end() && it->second.status == "ok" &&
-        it->second.hash != 0 &&
-        it->second.hash == flow::hash_spec_file(spec_path)) {
+    if (it != resume_records_.end() &&
+        flow::resumable(it->second, spec_path)) {
       ++resumed_;
       slot.resumed = true;
       finish_locked(slot, it->second);

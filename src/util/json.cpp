@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <exception>
 #include <utility>
@@ -146,6 +147,17 @@ const Value* find(const std::map<std::string, Value>& values,
   const auto it = values.find(key);
   if (it == values.end() || it->second.kind != kind) return nullptr;
   return &it->second;
+}
+
+std::optional<std::int64_t> integer(const Value& value, std::int64_t lo,
+                                    std::int64_t hi) {
+  const double x = value.number;
+  // NaN fails every comparison, so it falls through to nullopt.
+  if (value.kind != Value::Kind::kNumber || !(x >= static_cast<double>(lo)) ||
+      !(x <= static_cast<double>(hi)) || x != std::trunc(x)) {
+    return std::nullopt;
+  }
+  return static_cast<std::int64_t>(x);
 }
 
 }  // namespace lsiq::util::json

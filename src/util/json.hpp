@@ -14,7 +14,9 @@
 // malformation — callers treat such a line as torn/foreign and skip it.
 #pragma once
 
+#include <cstdint>
 #include <map>
+#include <optional>
 #include <string>
 
 namespace lsiq::util::json {
@@ -44,5 +46,17 @@ bool parse_flat_object(const std::string& line,
 /// The value under `key` when present AND of `kind`; nullptr otherwise.
 const Value* find(const std::map<std::string, Value>& values,
                   const std::string& key, Value::Kind kind);
+
+/// Integers up to this magnitude are exactly representable as doubles;
+/// the widest bound integer() accepts.
+inline constexpr std::int64_t kMaxExactInteger = std::int64_t{1} << 53;
+
+/// A number value as an integer when it is finite, integral and within
+/// [lo, hi]; nullopt otherwise (NaN, an infinity, a fraction, out of range,
+/// or not a number). Every integer read from untrusted JSON goes through
+/// here: casting such a double to an integer type is undefined behaviour.
+/// The bounds must lie within +-kMaxExactInteger.
+std::optional<std::int64_t> integer(const Value& value, std::int64_t lo,
+                                    std::int64_t hi);
 
 }  // namespace lsiq::util::json

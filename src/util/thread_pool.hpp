@@ -23,10 +23,10 @@ namespace lsiq::util {
 /// The one place the shared worker-count convention is resolved:
 /// 0 = one worker per hardware thread (at least 1), n = exactly n workers.
 /// Every knob that documents that convention (ThreadPool's constructor,
-/// fault::simulate_ppsfp_mt, bist::BistConfig::num_threads,
-/// flow::EngineSpec::num_threads)
-/// resolves through this function, so "0 means all cores" cannot drift
-/// between subsystems.
+/// fault::simulate_ppsfp_mt, bist::BistConfig::num_threads, and the
+/// spec's one lane knob flow::EngineSpec::num_threads, `threads` in a
+/// spec file) resolves through this function, so "0 means all cores"
+/// cannot drift between subsystems.
 [[nodiscard]] std::size_t resolve_worker_count(std::size_t requested) noexcept;
 
 class ThreadPool {

@@ -8,7 +8,8 @@
 // patterns — was a deprecated shim over flow::run through PR 3 and has
 // been removed; its exact FlowSpec translation is recorded in the README
 // migration table (source.kind = "explicit", observe "full"/"progressive",
-// engine "ppsfp"/"ppsfp_mt", the lot axis, analysis.strobe_coverages).
+// engine "ppsfp" with its `threads` lane count, the lot axis,
+// analysis.strobe_coverages).
 #pragma once
 
 #include <cstddef>

@@ -179,8 +179,9 @@ TEST_F(ArtifactsTest, EditedBenchIsAMissThatReplacesEveryModelsEntry) {
              "t = AND(a, b)\ny = OR(t, c)\n");
   const auto after = cache.get(bench, fault_model::FaultModel::kStuckAt);
   EXPECT_NE(after->bundle, before->bundle);
-  EXPECT_EQ(after->circuit->pattern_inputs().size(), 3u);
-  EXPECT_EQ(before->circuit->pattern_inputs().size(), 2u);  // still valid
+  EXPECT_EQ(after->bundle->circuit().pattern_inputs().size(), 3u);
+  // still valid
+  EXPECT_EQ(before->bundle->circuit().pattern_inputs().size(), 2u);
   const ArtifactCache::Stats stats = cache.stats();
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.hits, 1u);

@@ -135,6 +135,40 @@ TEST_F(BatchTest, TornAndForeignLinesParseToNothing) {
           .has_value());
 }
 
+TEST_F(BatchTest, OutOfRangeCountsAreTornLines) {
+  // A count that is not a finite integer in its field's range is a
+  // malformed line, not an undefined double-to-integer cast: before the
+  // range check, "patterns":-1 read back as 2^64 - 1.
+  BatchRecord record;
+  record.spec = "x.spec";
+  record.status = "ok";
+  record.patterns = 5;
+  record.classes = 7;
+  const std::string line = record.to_jsonl();
+  ASSERT_TRUE(BatchRecord::from_jsonl(line).has_value());
+  const struct {
+    const char* field;
+    const char* value;
+  } cases[] = {
+      {"\"patterns\":5", "\"patterns\":-1"},
+      {"\"patterns\":5", "\"patterns\":1e300"},
+      {"\"patterns\":5", "\"patterns\":2.5"},
+      {"\"classes\":7", "\"classes\":1e30"},
+      {"\"classes\":7", "\"classes\":nan"},
+      {"\"attempts\":0", "\"attempts\":-1"},
+      {"\"attempts\":0", "\"attempts\":3000000000"},
+      {"\"attempts\":0", "\"attempts\":inf"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.value);
+    std::string torn = line;
+    const std::size_t at = torn.find(c.field);
+    ASSERT_NE(at, std::string::npos);
+    torn.replace(at, std::string(c.field).size(), c.value);
+    EXPECT_FALSE(BatchRecord::from_jsonl(torn).has_value()) << torn;
+  }
+}
+
 // ---- manifests ----
 
 TEST_F(BatchTest, DirectoryManifestYieldsSortedSpecs) {
@@ -557,7 +591,7 @@ TEST_F(BatchTest, EvictedArtifactHandlesStayValid) {
   EXPECT_EQ(cache.stats().entries, 1u);
   EXPECT_GE(cache.stats().evictions, 1u);
   // ... but the held handle is untouched.
-  EXPECT_NE(held->circuit, nullptr);
+  EXPECT_NE(held->bundle, nullptr);
   EXPECT_NE(held->faults, nullptr);
   EXPECT_GT(held->compiled->node_count(), 0u);
 }

@@ -16,6 +16,7 @@
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
 #include "sim/parallel_sim.hpp"
+#include "tpg/lfsr.hpp"
 #include "util/error.hpp"
 
 namespace lsiq::bist {
@@ -23,6 +24,13 @@ namespace {
 
 using circuit::Circuit;
 using fault::FaultList;
+
+/// The session's program comes from its caller: an LFSR program over the
+/// circuit's pattern inputs, as the flow's lfsr source builds it.
+sim::PatternSet lfsr_program(const Circuit& c, std::size_t count,
+                             std::uint64_t seed = 1) {
+  return tpg::lfsr_patterns(c.pattern_inputs().size(), count, seed);
+}
 
 /// Independent reimplementation of signature grading: per-point error
 /// words isolated with the EVENT-DRIVEN kernel (detect_word under a
@@ -129,10 +137,9 @@ TEST(BistSession, MatchesIndependentOracleOnCombinationalCircuit) {
   const Circuit c = circuit::make_alu(2);
   const FaultList faults = FaultList::full_universe(c);
   BistConfig config;
-  config.pattern_count = 190;  // deliberately not a multiple of 64
-  config.lfsr_seed = 7;
-  config.misr_width = 8;       // narrow enough for real aliasing pressure
-  const BistSession session(faults, config);
+  config.misr_width = 8;  // narrow enough for real aliasing pressure
+  // 190 patterns: deliberately not a multiple of 64.
+  const BistSession session(faults, lfsr_program(c, 190, 7), config);
   const BistResult result = session.run();
 
   const OracleGrading oracle =
@@ -154,10 +161,8 @@ TEST(BistSession, MatchesIndependentOracleOnSequentialCircuit) {
   const Circuit c = circuit::make_scan_accumulator(3);
   const FaultList faults = FaultList::full_universe(c);
   BistConfig config;
-  config.pattern_count = 100;
-  config.lfsr_seed = 3;
   config.misr_width = 4;
-  const BistSession session(faults, config);
+  const BistSession session(faults, lfsr_program(c, 100, 3), config);
   const BistResult result = session.run();
 
   const OracleGrading oracle =
@@ -179,10 +184,9 @@ TEST(BistSession, MatchesIndependentOracleOnTransitionUniverses) {
     SCOPED_TRACE(c.name());
     const FaultList faults = FaultList::transition_universe(c);
     BistConfig config;
-    config.pattern_count = 150;  // deliberately not a multiple of 64
-    config.lfsr_seed = 5;
     config.misr_width = 8;
-    const BistSession session(faults, config);
+    // 150 patterns: deliberately not a multiple of 64.
+    const BistSession session(faults, lfsr_program(c, 150, 5), config);
     const BistResult result = session.run();
     EXPECT_GT(result.signature_detected_classes, 0u);
 
@@ -205,10 +209,7 @@ TEST(BistSession, RawDetectionMatchesPpsfpEngine) {
   // bit-identical to the production fault simulator on the same patterns.
   const Circuit c = circuit::make_comparator(4);
   const FaultList faults = FaultList::full_universe(c);
-  BistConfig config;
-  config.pattern_count = 200;
-  config.lfsr_seed = 11;
-  const BistSession session(faults, config);
+  const BistSession session(faults, lfsr_program(c, 200, 11), BistConfig{});
   const BistResult result = session.run();
 
   const fault::FaultSimResult ppsfp =
@@ -222,14 +223,13 @@ TEST(BistSession, RawDetectionMatchesPpsfpEngine) {
 TEST(BistSession, BitDeterministicAcrossWorkerCounts) {
   const Circuit c = circuit::make_array_multiplier(6);
   const FaultList faults = FaultList::full_universe(c);
+  const sim::PatternSet program = lfsr_program(c, 256);
   BistConfig config;
-  config.pattern_count = 256;
   config.misr_width = 16;
-  const BistSession session(faults, config);
-
-  const BistResult r1 = session.run(1);
+  const BistResult r1 = BistSession(faults, program, config).run();
   for (const std::size_t threads : {2u, 8u}) {
-    const BistResult rn = session.run(threads);
+    config.num_threads = threads;
+    const BistResult rn = BistSession(faults, program, config).run();
     EXPECT_EQ(rn.good_signature, r1.good_signature) << threads;
     EXPECT_EQ(rn.fault_signatures, r1.fault_signatures) << threads;
     EXPECT_EQ(rn.first_error_pattern, r1.first_error_pattern) << threads;
@@ -247,9 +247,8 @@ TEST(BistSession, WideMisrDoesNotAlias) {
   const Circuit c = circuit::make_alu(3);
   const FaultList faults = FaultList::full_universe(c);
   BistConfig config;
-  config.pattern_count = 256;
   config.misr_width = 32;
-  const BistSession session(faults, config);
+  const BistSession session(faults, lfsr_program(c, 256), config);
   const BistResult result = session.run();
 
   EXPECT_TRUE(result.aliased_classes.empty());
@@ -266,9 +265,8 @@ TEST(BistSession, SignatureDetectionImpliesRawDetection) {
   const FaultList faults = FaultList::full_universe(c);
   for (const int width : {4, 8, 16}) {
     BistConfig config;
-    config.pattern_count = 192;
     config.misr_width = width;
-    const BistSession session(faults, config);
+    const BistSession session(faults, lfsr_program(c, 192), config);
     const BistResult result = session.run();
 
     EXPECT_LE(result.signature_detected_classes,
@@ -294,9 +292,8 @@ TEST(BistSession, CurvesAreConsistentWithScalarCoverages) {
   const Circuit c = circuit::make_comparator(5);
   const FaultList faults = FaultList::full_universe(c);
   BistConfig config;
-  config.pattern_count = 150;
   config.misr_width = 8;
-  const BistSession session(faults, config);
+  const BistSession session(faults, lfsr_program(c, 150), config);
   const BistResult result = session.run();
 
   const fault::CoverageCurve raw = result.raw_curve(faults);
@@ -321,32 +318,6 @@ TEST(BistSession, CurvesAreConsistentWithScalarCoverages) {
   EXPECT_LE(ever_diverged, result.raw_covered_faults);
 }
 
-TEST(BistSession, ExternalPatternSessionMatchesConfigGenerated) {
-  // A session fed its program explicitly must grade exactly like the
-  // session that generated the same program from its config — the
-  // decoupling flow::run relies on.
-  const Circuit c = circuit::make_comparator(4);
-  const FaultList faults = FaultList::full_universe(c);
-  BistConfig config;
-  config.pattern_count = 96;
-  config.lfsr_seed = 29;
-  config.misr_width = 8;
-  const BistSession by_config(faults, config);
-  const BistResult reference = by_config.run();
-
-  BistConfig external = config;
-  external.pattern_count = 12345;  // must be ignored and overwritten
-  const BistSession by_patterns(faults, by_config.patterns(), external);
-  EXPECT_EQ(by_patterns.config().pattern_count, 96u);
-  const BistResult result = by_patterns.run();
-  EXPECT_EQ(result.pattern_count, 96u);
-  EXPECT_EQ(result.good_signature, reference.good_signature);
-  EXPECT_EQ(result.fault_signatures, reference.fault_signatures);
-  EXPECT_EQ(result.first_error_pattern, reference.first_error_pattern);
-  EXPECT_EQ(result.first_divergence_pattern,
-            reference.first_divergence_pattern);
-}
-
 TEST(BistSession, ExternalPatternDomainChecks) {
   const Circuit c = circuit::make_c17();
   const FaultList faults = FaultList::full_universe(c);
@@ -365,17 +336,15 @@ TEST(BistSession, ExternalPatternDomainChecks) {
 TEST(BistSession, DomainChecks) {
   const Circuit c = circuit::make_c17();
   const FaultList faults = FaultList::full_universe(c);
+  const sim::PatternSet program = lfsr_program(c, 16);
   BistConfig config;
-  config.pattern_count = 0;
-  EXPECT_THROW(BistSession(faults, config), ContractViolation);
-  config.pattern_count = 16;
   config.misr_width = 0;
-  EXPECT_THROW(BistSession(faults, config), ContractViolation);
+  EXPECT_THROW(BistSession(faults, program, config), ContractViolation);
   config.misr_width = 9;  // no standard polynomial
-  EXPECT_THROW(BistSession(faults, config), Error);
+  EXPECT_THROW(BistSession(faults, program, config), Error);
   config.misr_width = 9;
   config.misr_taps = 0x110;
-  EXPECT_NO_THROW(BistSession(faults, config));
+  EXPECT_NO_THROW(BistSession(faults, program, config));
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 // Golden-equivalence tests for the unified flow API: flow::run on the
 // mult16 Table-1 workload must reproduce bit/row-identical strobe tables,
 // signatures and DPPM figures versus the hand-wired pipelines it
-// replaced (the pre-flow run_chip_test_experiment sequencing and the
-// config-driven BistSession path), for both 1 and N worker threads —
+// replaced (the pre-flow run_chip_test_experiment sequencing and a
+// BistSession over the same LFSR program), for both 1 and N lanes —
 // plus behavioral coverage of the source axis and the coverage-only mode.
 #include "flow/flow.hpp"
 
@@ -94,14 +94,13 @@ HandWired hand_wired_experiment(std::size_t num_threads) {
   return result;
 }
 
-FlowSpec table1_spec(const std::string& engine, std::size_t num_threads) {
+FlowSpec table1_spec(std::size_t num_threads) {
   FlowSpec spec;
   spec.source.kind = "lfsr";
   spec.source.pattern_count = kPatternCount;
   spec.source.lfsr_seed = kLfsrSeed;
   spec.observe.kind = "progressive";
   spec.observe.strobe_step = kStrobeStep;
-  spec.engine.kind = engine;
   spec.engine.num_threads = num_threads;
   spec.lot.chip_count = kChipCount;
   spec.lot.yield = kYield;
@@ -127,7 +126,7 @@ void expect_rows_identical(const std::vector<wafer::StrobeRow>& actual,
 
 TEST(FlowGolden, StrobeTableMatchesHandWiredSingleThread) {
   const HandWired reference = hand_wired_experiment(1);
-  const FlowResult run = flow::run(mult16().faults, table1_spec("ppsfp", 1));
+  const FlowResult run = flow::run(mult16().faults, table1_spec(1));
   expect_rows_identical(run.table, reference.table);
   EXPECT_DOUBLE_EQ(run.final_coverage(), reference.final_coverage);
 
@@ -139,8 +138,7 @@ TEST(FlowGolden, StrobeTableMatchesHandWiredSingleThread) {
 
 TEST(FlowGolden, StrobeTableMatchesHandWiredMultiThread) {
   const HandWired reference = hand_wired_experiment(3);
-  const FlowResult run =
-      flow::run(mult16().faults, table1_spec("ppsfp_mt", 3));
+  const FlowResult run = flow::run(mult16().faults, table1_spec(3));
   expect_rows_identical(run.table, reference.table);
   EXPECT_DOUBLE_EQ(run.final_coverage(), reference.final_coverage);
 }
@@ -148,11 +146,11 @@ TEST(FlowGolden, StrobeTableMatchesHandWiredMultiThread) {
 TEST(FlowGolden, ExplicitSourceSpecStaysRowIdentical) {
   // The FlowSpec shape the removed run_chip_test_experiment shim used to
   // build — an explicit program under progressive observation — must keep
-  // producing the hand-wired rows for both thread conventions.
+  // producing the hand-wired rows on one lane and on several.
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     const HandWired reference = hand_wired_experiment(threads);
-    FlowSpec spec = table1_spec(threads == 1 ? "ppsfp" : "ppsfp_mt", threads);
+    FlowSpec spec = table1_spec(threads);
     spec.source = PatternSourceSpec{};
     spec.source.kind = "explicit";
     spec.source.patterns = mult16().patterns;
@@ -162,17 +160,16 @@ TEST(FlowGolden, ExplicitSourceSpecStaysRowIdentical) {
 }
 
 TEST(FlowGolden, MisrPathMatchesHandWiredBistSession) {
-  // The hand-wired signature path: a config-driven session generating its
-  // own LFSR program. 16-bit register so aliasing is actually visible.
+  // The hand-wired signature path: a session over the LFSR program the
+  // flow's lfsr source builds. 16-bit register so aliasing is actually
+  // visible.
   const Workload& s = mult16();
   bist::BistConfig config;
-  config.pattern_count = kPatternCount;
-  config.lfsr_seed = kLfsrSeed;
   config.misr_width = 16;
-  const bist::BistSession session(s.faults, config);
-  const bist::BistResult reference = session.run(1);
+  const bist::BistSession session(s.faults, s.patterns, config);
+  const bist::BistResult reference = session.run();
 
-  FlowSpec spec = table1_spec("ppsfp", 1);
+  FlowSpec spec = table1_spec(1);
   spec.observe = ObservationSpec{};
   spec.observe.kind = "misr";
   spec.observe.misr_width = 16;
@@ -180,7 +177,6 @@ TEST(FlowGolden, MisrPathMatchesHandWiredBistSession) {
 
   for (const std::size_t threads : {std::size_t{1}, std::size_t{3}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    spec.engine.kind = threads == 1 ? "ppsfp" : "ppsfp_mt";
     spec.engine.num_threads = threads;
     const FlowResult run = flow::run(s.faults, spec);
     ASSERT_TRUE(run.bist.has_value());
@@ -307,7 +303,6 @@ TEST(Flow, TransitionAtpgBeatsLfsrOnMult16AtEqualLength) {
   spec.source.kind = "atpg";
   spec.source.atpg.random_patterns = 256;
   spec.source.atpg.seed = kLfsrSeed;
-  spec.engine.kind = "ppsfp_mt";
   spec.engine.num_threads = 0;
   spec.lot.chip_count = 0;
   const FlowResult atpg_run = flow::run(mult16().circuit, spec);
@@ -433,7 +428,7 @@ TEST(FlowGolden, OneSpecFlippedOnFaultModelYieldsBothQualityStatements) {
 
 TEST(FlowGolden, TransitionGradingBitIdenticalAcrossEnginesAndThreads) {
   // The acceptance bit-identity statement at the flow level, on the
-  // Table-1 product: serial vs ppsfp vs ppsfp_mt at 1 and N threads.
+  // Table-1 product: serial vs ppsfp at 1 and N lanes.
   FlowSpec spec = coverage_only_spec();
   spec.fault_model.kind = "transition";
   static const FaultList transition_faults =
@@ -447,7 +442,6 @@ TEST(FlowGolden, TransitionGradingBitIdenticalAcrossEnginesAndThreads) {
             ppsfp.fault_sim->first_detection);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
-    spec.engine.kind = "ppsfp_mt";
     spec.engine.num_threads = threads;
     const FlowResult mt = flow::run(transition_faults, spec);
     ASSERT_EQ(serial.fault_sim->first_detection,
@@ -463,9 +457,7 @@ TEST(FlowGolden, TransitionGradingBitIdenticalAcrossEnginesAndThreads) {
   big.lot.chip_count = 0;
   static const FaultList mult16_transition =
       FaultList::transition_universe(mult16().circuit);
-  big.engine.kind = "ppsfp";
   const FlowResult one = flow::run(mult16_transition, big);
-  big.engine.kind = "ppsfp_mt";
   big.engine.num_threads = 4;
   const FlowResult many = flow::run(mult16_transition, big);
   ASSERT_EQ(one.fault_sim->first_detection, many.fault_sim->first_detection);

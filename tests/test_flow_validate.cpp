@@ -134,11 +134,15 @@ const Case kCases[] = {
     {"bad engine name",
      [](FlowSpec& s) { s.engine.kind = "fast"; },
      "engine.kind",
-     "unknown engine 'fast' (expected serial, ppsfp, or ppsfp_mt)"},
+     "unknown engine 'fast' (expected serial or ppsfp)"},
     {"removed sharded engine",
      [](FlowSpec& s) { s.engine.kind = "sharded"; },
      "engine.kind",
-     "unknown engine 'sharded' (expected serial, ppsfp, or ppsfp_mt)"},
+     "unknown engine 'sharded' (expected serial or ppsfp)"},
+    {"old pool engine name outside a spec file",
+     [](FlowSpec& s) { s.engine.kind = "ppsfp_mt"; },
+     "engine.kind",
+     "unknown engine 'ppsfp_mt' (expected serial or ppsfp)"},
     {"serial engine with misr observation",
      [](FlowSpec& s) {
        s.observe.kind = "misr";
@@ -146,12 +150,8 @@ const Case kCases[] = {
        s.analysis.strobe_coverages.clear();
      },
      "engine.kind",
-     "the serial engine has no signature-grading mode; use ppsfp or "
-     "ppsfp_mt with misr observation"},
-    {"ppsfp with a worker pool",
-     [](FlowSpec& s) { s.engine.num_threads = 4; },
-     "engine.num_threads",
-     "ppsfp is single-threaded; use ppsfp_mt for num_threads > 1"},
+     "the serial engine has no signature-grading mode; use ppsfp with "
+     "misr observation"},
     {"grade width other than 1",
      [](FlowSpec& s) { s.engine.grade_width = 4; },
      "engine.grade_width",
@@ -237,6 +237,42 @@ const Case kCases[] = {
 TEST(FlowValidate, GoodSpecHasNoIssues) {
   EXPECT_TRUE(validate(good_spec()).empty());
   EXPECT_NO_THROW(validate_or_throw(good_spec()));
+}
+
+TEST(FlowValidate, PpsfpTakesAnyLaneCount) {
+  // One engine, one lane knob: ppsfp validates at every lane count, and
+  // the fault grade and the signature grade at 4 lanes equal those at 1.
+  FlowSpec spec = good_spec();
+  for (const std::size_t threads : {0, 1, 4}) {
+    spec.engine.num_threads = threads;
+    EXPECT_TRUE(validate(spec).empty()) << threads;
+  }
+
+  static const circuit::Circuit circuit = circuit::make_array_multiplier(6);
+  static const fault::FaultList faults =
+      fault::FaultList::full_universe(circuit);
+  spec.source.pattern_count = 256;
+  spec.lot.chip_count = 0;
+  spec.analysis.strobe_coverages.clear();
+  spec.engine.num_threads = 1;
+  const FlowResult grade_one = flow::run(faults, spec);
+  spec.engine.num_threads = 4;
+  const FlowResult grade_four = flow::run(faults, spec);
+  EXPECT_EQ(grade_four.fault_sim->first_detection,
+            grade_one.fault_sim->first_detection);
+
+  spec.observe.kind = "misr";
+  spec.observe.misr_width = 8;
+  spec.engine.num_threads = 1;
+  const FlowResult bist_one = flow::run(faults, spec);
+  spec.engine.num_threads = 4;
+  const FlowResult bist_four = flow::run(faults, spec);
+  EXPECT_EQ(bist_four.bist->good_signature, bist_one.bist->good_signature);
+  EXPECT_EQ(bist_four.bist->fault_signatures,
+            bist_one.bist->fault_signatures);
+  EXPECT_EQ(bist_four.bist->first_divergence_pattern,
+            bist_one.bist->first_divergence_pattern);
+  EXPECT_EQ(bist_four.bist->aliased_classes, bist_one.bist->aliased_classes);
 }
 
 TEST(FlowValidate, TransitionAtpgSpecIsAccepted) {
@@ -475,7 +511,7 @@ TEST(FlowAnalyzeGate, CheckRunsTheGateWithoutGrading) {
   spec.lot.chip_count = 0;
   spec.analyze.untestable = "off";
   const std::vector<analyze::Diagnostic> warnings =
-      flow::check(faults, spec);
+      flow::check_detailed(faults, spec).diagnostics;
   ASSERT_EQ(warnings.size(), 1u);
   EXPECT_EQ(warnings[0].rule, analyze::Rule::kUnusedInput);
 
@@ -483,11 +519,11 @@ TEST(FlowAnalyzeGate, CheckRunsTheGateWithoutGrading) {
   spec.analyze.structure = "off";
   spec.analyze.dead_logic = "off";
   spec.analyze.untestable = "off";
-  EXPECT_TRUE(flow::check(faults, spec).empty());
+  EXPECT_TRUE(flow::check_detailed(faults, spec).diagnostics.empty());
 
   // An invalid spec is refused before any analysis happens.
   spec.analyze.structure = "strict";
-  EXPECT_THROW(flow::check(faults, spec), InvalidSpec);
+  EXPECT_THROW(flow::check_detailed(faults, spec), InvalidSpec);
 }
 
 TEST(FlowAnalyzeGate, CleanCircuitRunsWithEmptyLint) {

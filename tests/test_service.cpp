@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -514,6 +515,33 @@ TEST(ServiceProtocol, MalformedLinesParseToNothing) {
   EXPECT_FALSE(parse_request("{\"op\":1}").has_value());  // op not string
 }
 
+TEST(ServiceProtocol, OutOfRangeIntegersAreMalformed) {
+  // An integer field must be a finite integer in its type's range. Before
+  // the range check, "job":-1 read as 2^64 - 1 and "priority":1e300 as
+  // INT_MIN, both undefined double-to-integer casts.
+  for (const char* line : {
+           "{\"op\":\"status\",\"job\":-1}",
+           "{\"op\":\"status\",\"job\":1.5}",
+           "{\"op\":\"status\",\"job\":1e300}",
+           "{\"op\":\"submit\",\"spec\":\"x\",\"priority\":1e300}",
+           "{\"op\":\"submit\",\"spec\":\"x\",\"priority\":2147483648}",
+           "{\"op\":\"submit\",\"spec\":\"x\",\"deadline_ms\":nan}",
+           "{\"op\":\"submit\",\"spec\":\"x\",\"deadline_ms\":-inf}",
+       }) {
+    SCOPED_TRACE(line);
+    EXPECT_FALSE(parse_request(line).has_value());
+  }
+  // The bounds themselves are in range.
+  const std::optional<Request> edge = parse_request(
+      "{\"op\":\"submit\",\"spec\":\"x\",\"priority\":-2147483648,"
+      "\"deadline_ms\":2147483647,\"job\":0}");
+  ASSERT_TRUE(edge.has_value());
+  EXPECT_EQ(edge->priority, INT_MIN);
+  EXPECT_EQ(edge->deadline_ms, INT_MAX);
+  EXPECT_TRUE(edge->has_job);
+  EXPECT_EQ(edge->job, 0u);
+}
+
 TEST(ServiceProtocol, ErrorResponsesCarryTheTaxonomy) {
   namespace json = util::json;
   const std::string line =
@@ -625,6 +653,8 @@ TEST_F(ServiceTest, SocketServerRoundTrip) {
                   .text,
               "parse");
     client.send_line("{\"op\":\"frobnicate\"}");
+    EXPECT_EQ(parse(client.read_line()).at("error_code").text, "parse");
+    client.send_line("{\"op\":\"status\",\"job\":-1}");
     EXPECT_EQ(parse(client.read_line()).at("error_code").text, "parse");
 
     // list: header line with a count, then one line per job.

@@ -1,11 +1,15 @@
 // Tests for the flow spec-file format: key=value parsing with line-number
-// diagnostics, round-tripping through write_spec_string, and the
-// circuit-selector factory.
+// diagnostics, round-tripping through write_spec_string, the
+// circuit-selector factory, and the committed spec corpus.
 #include "flow/spec_io.hpp"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <filesystem>
+#include <fstream>
 #include <string>
+#include <vector>
 
 #include "util/error.hpp"
 
@@ -21,7 +25,7 @@ patterns    = 1024
 lfsr_seed   = 1981
 observe     = progressive
 strobe_step = 24
-engine      = ppsfp_mt
+engine      = ppsfp
 threads     = 4
 chips       = 277
 yield       = 0.07
@@ -38,7 +42,7 @@ targets     = 0.01 0.001
   EXPECT_EQ(spec.source.lfsr_seed, 1981u);
   EXPECT_EQ(spec.observe.kind, "progressive");
   EXPECT_EQ(spec.observe.strobe_step, 24u);
-  EXPECT_EQ(spec.engine.kind, "ppsfp_mt");
+  EXPECT_EQ(spec.engine.kind, "ppsfp");
   EXPECT_EQ(spec.engine.num_threads, 4u);
   EXPECT_EQ(spec.lot.chip_count, 277u);
   EXPECT_DOUBLE_EQ(spec.lot.yield, 0.07);
@@ -58,7 +62,63 @@ TEST(SpecIo, DefaultsSurviveASparseFile) {
   EXPECT_EQ(file.spec.source.kind, "lfsr");
   EXPECT_EQ(file.spec.observe.kind, "full");
   EXPECT_EQ(file.spec.engine.kind, "ppsfp");
+  EXPECT_EQ(file.spec.engine.num_threads, 1u);
   EXPECT_EQ(file.spec.analysis.method, "given");
+}
+
+TEST(SpecIo, OldPoolEngineNameReadsAsPpsfp) {
+  // "ppsfp_mt" is an alias: ppsfp with the old engine's lane default
+  // (0 = all cores) unless the file sets threads.
+  const SpecFile bare = read_spec_string("engine = ppsfp_mt\n");
+  EXPECT_EQ(bare.spec.engine.kind, "ppsfp");
+  EXPECT_EQ(bare.spec.engine.num_threads, 0u);
+  const SpecFile pinned = read_spec_string("engine = ppsfp_mt\nthreads = 3\n");
+  EXPECT_EQ(pinned.spec.engine.kind, "ppsfp");
+  EXPECT_EQ(pinned.spec.engine.num_threads, 3u);
+  EXPECT_TRUE(validate(pinned.spec).empty());
+  // The writer emits the one engine name and the lane count.
+  EXPECT_EQ(write_spec_string(pinned).find("ppsfp_mt"), std::string::npos);
+  EXPECT_NE(write_spec_string(pinned).find("engine = ppsfp\nthreads = 3\n"),
+            std::string::npos);
+}
+
+TEST(SpecIo, CommittedSpecCorpusReadsAndValidates) {
+  // Every spec the repo ships parses and validates; each one written with
+  // the old engine name reads as ppsfp with the threads value it gives.
+  namespace fs = std::filesystem;
+  const std::string root = std::string(LSIQ_SOURCE_DIR) + "/tools/specs";
+  std::vector<fs::path> paths;
+  for (const std::string& dir : {root, root + "/sweeps"}) {
+    for (const fs::directory_entry& entry : fs::directory_iterator(dir)) {
+      if (entry.path().extension() == ".spec") paths.push_back(entry.path());
+    }
+  }
+  std::sort(paths.begin(), paths.end());
+  ASSERT_GE(paths.size(), 27u);
+  std::size_t aliased = 0;
+  for (const fs::path& path : paths) {
+    SCOPED_TRACE(path.string());
+    const SpecFile file = read_spec_file(path.string());
+    EXPECT_FALSE(file.circuit.empty());
+    const std::vector<SpecIssue> issues = validate(file.spec);
+    EXPECT_TRUE(issues.empty())
+        << issues.size() << " issue(s), first: " << issues[0].field << ": "
+        << issues[0].message;
+    std::ifstream in(path);
+    bool old_name = false;
+    std::size_t threads = 0;  // the alias's lane default
+    for (std::string line; std::getline(in, line);) {
+      if (line.find("ppsfp_mt") != std::string::npos) old_name = true;
+      if (line.rfind("threads", 0) == 0) {
+        threads = std::stoul(line.substr(line.find('=') + 1));
+      }
+    }
+    if (!old_name) continue;
+    ++aliased;
+    EXPECT_EQ(file.spec.engine.kind, "ppsfp");
+    EXPECT_EQ(file.spec.engine.num_threads, threads);
+  }
+  EXPECT_EQ(aliased, 23u);
 }
 
 TEST(SpecIo, MisrKeysSelectTheSignaturePath) {
@@ -125,7 +185,7 @@ TEST(SpecIo, WriteReadRoundTrip) {
   original.spec.source.lfsr_seed = 29;
   original.spec.observe.kind = "misr";
   original.spec.observe.misr_width = 8;
-  original.spec.engine.kind = "ppsfp_mt";
+  original.spec.engine.kind = "ppsfp";
   original.spec.engine.num_threads = 2;
   original.spec.lot.chip_count = 100;
   original.spec.lot.yield = 0.25;
@@ -187,7 +247,7 @@ TEST(SpecIo, RoundTripCoversEveryEnumValueOfEveryAxis) {
   const char* fault_models[] = {"stuck_at", "transition"};
   const char* sources[] = {"lfsr", "atpg", "file"};
   const char* observations[] = {"full", "progressive", "misr"};
-  const char* engines[] = {"serial", "ppsfp", "ppsfp_mt"};
+  const char* engines[] = {"serial", "ppsfp"};
   const char* methods[] = {"given", "slope", "discrete", "least_squares"};
 
   for (const char* fault_model : fault_models) {
@@ -251,9 +311,6 @@ TEST(SpecIo, RoundTripCoversEveryEnumValueOfEveryAxis) {
             if (expected.observe.kind != "misr") {
               expected.observe.misr_width = observe_defaults.misr_width;
               expected.observe.misr_taps = observe_defaults.misr_taps;
-            }
-            if (expected.engine.kind != "ppsfp_mt") {
-              expected.engine.num_threads = EngineSpec{}.num_threads;
             }
             EXPECT_TRUE(parsed.spec == expected);
             // Serialization is a fixed point: writing the parsed spec

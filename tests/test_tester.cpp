@@ -169,20 +169,18 @@ TEST(BistTester, SignatureCompareDecidesPassFail) {
 
 TEST(BistTester, PatternCountCannotDriftFromTheSession) {
   // Regression for the pattern-accounting contract: the session's result
-  // carries its own pattern_count, test_lot_bist copies it, and an
-  // explicit-program session overwrites any stale config value — so the
-  // three counts can never disagree.
+  // carries its program's length and test_lot_bist copies it, so the
+  // counts can never disagree (the config holds no count of its own).
   static const circuit::Circuit c = circuit::make_comparator(4);
   static const fault::FaultList faults =
       fault::FaultList::full_universe(c);
   bist::BistConfig config;
-  config.pattern_count = 4096;  // stale: the real program is shorter
   config.misr_width = 8;
   sim::PatternSet program(c.pattern_inputs().size());
   util::Rng rng(3);
   program.append_random(70, rng);
   const bist::BistSession session(faults, program, config);
-  EXPECT_EQ(session.config().pattern_count, 70u);
+  ASSERT_EQ(session.patterns().size(), 70u);
 
   const bist::BistResult graded = session.run();
   EXPECT_EQ(graded.pattern_count, session.patterns().size());
@@ -192,7 +190,7 @@ TEST(BistTester, PatternCountCannotDriftFromTheSession) {
   lot.chips.push_back(chip_with({}));
   const LotTestResult tested = test_lot_bist(lot, graded);
   EXPECT_EQ(tested.pattern_count, graded.pattern_count);
-  // Failures land on the session's true final pattern, not the stale one.
+  // Failures land on the session's final pattern.
   for (const ChipOutcome& outcome : tested.outcomes) {
     if (outcome.first_fail_pattern >= 0) {
       EXPECT_EQ(outcome.first_fail_pattern,

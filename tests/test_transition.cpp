@@ -348,9 +348,11 @@ TEST(TransitionBist, RawDetectionMatchesFaultSimAndAliasingIsSubset) {
 
   bist::BistConfig config;
   config.misr_width = 8;  // narrow: aliasing plausible
-  const bist::BistSession session(faults, patterns, config);
-  const bist::BistResult one = session.run(1);
-  const bist::BistResult many = session.run(4);
+  const bist::BistResult one =
+      bist::BistSession(faults, patterns, config).run();
+  config.num_threads = 4;
+  const bist::BistResult many =
+      bist::BistSession(faults, patterns, config).run();
 
   // Raw (full-observation) transition detection must equal the fault
   // simulator's; the session only adds compaction on top.

@@ -234,9 +234,11 @@ int run_client_mode(const ClientCli& cli) {
 
     if (cli.op == "list") {
       const json::Value* count = json::find(values, "count", Kind::kNumber);
-      const std::size_t jobs =
-          count != nullptr ? static_cast<std::size_t>(count->number) : 0;
-      for (std::size_t i = 0; i < jobs; ++i) {
+      const std::optional<std::int64_t> jobs =
+          count != nullptr ? json::integer(*count, 0, json::kMaxExactInteger)
+                           : 0;
+      if (!jobs.has_value()) return finish(EXIT_FAILURE);
+      for (std::int64_t i = 0; i < *jobs; ++i) {
         std::cout << client.read_line() << "\n";
       }
       return finish(EXIT_SUCCESS);
@@ -244,8 +246,11 @@ int run_client_mode(const ClientCli& cli) {
 
     if (cli.op == "submit" && cli.wait) {
       const json::Value* job = json::find(values, "job", Kind::kNumber);
-      if (job == nullptr) return finish(EXIT_FAILURE);
-      const auto id = static_cast<std::uint64_t>(job->number);
+      const std::optional<std::int64_t> parsed =
+          job != nullptr ? json::integer(*job, 0, json::kMaxExactInteger)
+                         : std::nullopt;
+      if (!parsed.has_value()) return finish(EXIT_FAILURE);
+      const auto id = static_cast<std::uint64_t>(*parsed);
       // Poll over the same connection; short-lived exchanges keep the
       // daemon responsive to cancels from elsewhere while we wait.
       while (true) {
