@@ -321,6 +321,30 @@ void BM_Atpg_CompactTransition(benchmark::State& state) {
 }
 BENCHMARK(BM_Atpg_CompactTransition)->Unit(benchmark::kMillisecond);
 
+void BM_Atpg_Generate(benchmark::State& state) {
+  // The whole generation recipe on mult16 as mult16_tr_atpg.spec runs it:
+  // a 256-pattern random phase, then PODEM on the survivors with fault
+  // dropping. Arg 0 = stuck-at, arg 1 = transition. The engine is built
+  // inside the timed loop, once per run, as generate_tests builds it.
+  const circuit::Circuit c = circuit::make_array_multiplier(16);
+  const bool transition = state.range(0) != 0;
+  const fault::FaultList faults =
+      transition ? fault::FaultList::transition_universe(c)
+                 : fault::FaultList::full_universe(c);
+  tpg::AtpgOptions options;
+  options.random_patterns = 256;
+  options.seed = 1981;
+  std::size_t program = 0;
+  for (auto _ : state) {
+    program = tpg::generate_tests(faults, options).patterns.size();
+    benchmark::DoNotOptimize(program);
+  }
+  state.SetLabel(std::string("mult16 ") +
+                 (transition ? "transition" : "stuck-at") + ", " +
+                 std::to_string(program) + " patterns");
+}
+BENCHMARK(BM_Atpg_Generate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+
 void BM_Podem_PerFault(benchmark::State& state) {
   // Arg 0 = plain PODEM, arg 1 = implication-assisted. The engine is
   // built ONCE outside the timed loop, exactly how the ATPG driver
@@ -347,9 +371,9 @@ void BM_Podem_PerFault(benchmark::State& state) {
 BENCHMARK(BM_Podem_PerFault)->Arg(0)->Arg(1);
 
 // The static analyzer's structural pass (topology, constant propagation,
-// observability, tied-constant untestable sites, FFR stats) has to stay
-// cheap enough to run as a pre-flight gate before EVERY flow. The
-// implication prover is off here; BM_Analyze_Implications times it.
+// observability, tied-constant untestable sites) has to stay cheap enough
+// to run as a pre-flight gate before EVERY flow. The implication prover
+// is off here; BM_Analyze_Implications times it.
 void BM_Analyze_Structural(benchmark::State& state) {
   const circuit::Circuit c = circuit_for(static_cast<int>(state.range(0)));
   analyze::Options options;
@@ -357,7 +381,6 @@ void BM_Analyze_Structural(benchmark::State& state) {
   for (auto _ : state) {
     const analyze::Report report = analyze::analyze(c, options);
     benchmark::DoNotOptimize(report.diagnostics.size());
-    benchmark::DoNotOptimize(report.ffr.regions);
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(c.gate_count()));

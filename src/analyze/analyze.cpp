@@ -540,33 +540,6 @@ Report analyze(const Circuit& circuit, const Options& options,
     report.untestable_sites = std::move(merged);
   }
 
-  // ---- fanout-free regions (over combinational gates) ----
-  {
-    std::vector<GateId> region(n, kNoGate);
-    std::vector<std::size_t> size_of(n, 0);
-    for (auto it = topo.order.rbegin(); it != topo.order.rend(); ++it) {
-      const GateId id = *it;
-      const Gate& gate = circuit.gate(id);
-      if (is_source(gate.type) || gate.type == GateType::kDff) continue;
-      const auto& readers = topo.readers[id];
-      const bool root = observed[id] != 0 || readers.size() != 1 ||
-                        circuit.gate(readers.front().first).type ==
-                            GateType::kDff;
-      region[id] = root ? id : region[readers.front().first];
-      if (region[id] == kNoGate) region[id] = id;  // reader outside FFR scope
-      ++size_of[region[id]];
-    }
-    for (GateId id = 0; id < n; ++id) {
-      if (size_of[id] == 0) continue;
-      ++report.ffr.regions;
-      report.ffr.largest = std::max(report.ffr.largest, size_of[id]);
-      report.ffr.average += static_cast<double>(size_of[id]);
-    }
-    if (report.ffr.regions > 0) {
-      report.ffr.average /= static_cast<double>(report.ffr.regions);
-    }
-  }
-
   emit.finish();
   sort_diagnostics(report.diagnostics);
   return report;

@@ -49,17 +49,6 @@ enum class LineValue : std::int8_t {
   kOne = 1,       ///< provably 1 under every input pattern
 };
 
-/// Fanout-free-region statistics: the FFR partition of the combinational
-/// logic (every gate belongs to the cone of the nearest downstream stem or
-/// observed point). The paper's checkpoint argument — faults on FFR inputs
-/// dominate — makes region count/size the natural density measure for a
-/// test program.
-struct FfrStats {
-  std::size_t regions = 0;
-  std::size_t largest = 0;
-  double average = 0.0;
-};
-
 /// Everything one structural analysis produces. The vectors are indexed
 /// by GateId; `diagnostics` carries only the findings of classes enabled
 /// in Options (capped per rule), while the analysis vectors are always
@@ -91,8 +80,6 @@ struct Report {
   /// untestable class enabled. The flow gate's static-redundancy census
   /// folds over these, so one gate run builds one engine.
   std::vector<fault::Fault> implication_sites;
-
-  FfrStats ffr;
 
   [[nodiscard]] bool has_error_diagnostics() const {
     return has_errors(diagnostics);

@@ -135,9 +135,10 @@ CheckOutcome check_detailed(const fault::FaultList& faults,
   return outcome;
 }
 
-sim::PatternSet make_patterns(const fault::FaultList& faults,
-                              const PatternSourceSpec& source,
-                              std::optional<tpg::AtpgResult>* atpg_out) {
+sim::PatternSet make_patterns(
+    const fault::FaultList& faults, const PatternSourceSpec& source,
+    std::optional<tpg::AtpgResult>* atpg_out,
+    std::shared_ptr<const circuit::CompiledCircuit> compiled) {
   LSIQ_FAILPOINT("flow.patterns");
   const std::size_t inputs = faults.circuit().pattern_inputs().size();
   if (source.kind == "lfsr") {
@@ -145,10 +146,15 @@ sim::PatternSet make_patterns(const fault::FaultList& faults,
                               source.lfsr_width);
   }
   if (source.kind == "atpg") {
-    tpg::AtpgResult generated = tpg::generate_tests(faults, source.atpg);
+    if (compiled == nullptr) {
+      compiled =
+          std::make_shared<const circuit::CompiledCircuit>(faults.circuit());
+    }
+    tpg::AtpgResult generated =
+        tpg::generate_tests(faults, source.atpg, compiled);
     sim::PatternSet patterns =
         source.atpg_compact
-            ? tpg::reverse_order_compact(faults, generated.patterns)
+            ? tpg::reverse_order_compact(faults, generated.patterns, compiled)
             : generated.patterns;
     if (atpg_out != nullptr) *atpg_out = std::move(generated);
     return patterns;
@@ -206,7 +212,8 @@ FlowResult run(const fault::FaultList& faults, const FlowSpec& spec,
   result.statically_redundant_faults = gate.statically_redundant_faults;
 
   // 1. Materialize the ordered pattern program.
-  result.patterns = make_patterns(faults, spec.source, &result.atpg);
+  result.patterns =
+      make_patterns(faults, spec.source, &result.atpg, bundle.compiled());
   LSIQ_EXPECT(!result.patterns.empty(),
               "flow: the pattern source produced no patterns");
   if (model == fault_model::FaultModel::kTransition &&

@@ -91,14 +91,17 @@ struct FlowResult {
   [[nodiscard]] std::string report() const;
 };
 
-/// Materialize the pattern program of a source axis on its own — for
-/// callers that need the program but not the rest of the flow (the fault
-/// dictionary in examples/fault_diagnosis.cpp, pattern-file tooling).
+/// Materialize the pattern program of a source axis: run() calls it with
+/// its bundle's compiled view, and callers that need the program but not
+/// the rest of the flow (the fault dictionary in
+/// examples/fault_diagnosis.cpp, pattern-file tooling) call it on its own.
 /// For "atpg" sources `atpg_out`, when non-null, receives the generation
-/// statistics.
+/// statistics, and generation and compaction read `compiled` (a compiled
+/// view of faults.circuit()) or, when it is null, compile the circuit once.
 sim::PatternSet make_patterns(
     const fault::FaultList& faults, const PatternSourceSpec& source,
-    std::optional<tpg::AtpgResult>* atpg_out = nullptr);
+    std::optional<tpg::AtpgResult>* atpg_out = nullptr,
+    std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr);
 
 /// Run a spec against a collapsed fault universe over a circuit's shared
 /// artifacts: `faults` must be a universe over bundle.circuit(), and its

@@ -6,20 +6,27 @@
 // the paper's Section 5 procedure consumes: patterns in tester-application
 // order with a cumulative coverage curve from the fault simulator.
 //
-// Both fault models run through the same entry point, keyed off
-// FaultList::model(). A transition universe switches the recipe to
-// two-pattern semantics: the random phase grades consecutive
-// launch/capture pairs (fault_model/transition.hpp) and keeps both halves
-// of every first-detecting pair, and the deterministic phase appends an
-// ordered (launch, capture) pair per survivor — so in the emitted program
-// a launch pattern is always immediately followed by its capture.
-// Redundancy proofs split by half: untestable-launch (the pre-transition
-// value is unjustifiable) versus untestable-capture (the matching capture
-// stuck-at fault is redundant).
+// One recipe serves both fault models. Its unit is a test of width w,
+// keyed off FaultList::model(): one pattern for stuck-at, an ordered
+// (launch, capture) pair for transition (fault_model/transition.hpp). The
+// random phase keeps the w patterns that end at each first detection; the
+// deterministic phase appends one unit per survivor, so in the emitted
+// program a launch pattern is always immediately followed by its capture;
+// and fault dropping grades each new unit as lanes 0..w-1 of one block,
+// crediting the last lane. Redundancy proofs of a transition unit split
+// by half: untestable-launch (the pre-transition value is unjustifiable)
+// versus untestable-capture (the matching capture stuck-at fault is
+// redundant).
+//
+// Generation and compaction read the caller's compiled view of the
+// circuit when one is passed (flow::run passes its bundle's) and compile
+// once otherwise; PODEM's implication engine is built per run.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 
+#include "circuit/compiled.hpp"
 #include "fault/fault_list.hpp"
 #include "fault/fault_sim.hpp"
 #include "sim/pattern.hpp"
@@ -61,22 +68,24 @@ struct AtpgResult {
   double effective_coverage = 0.0;
 };
 
-/// Random phase + PODEM phase with fault dropping after every new pattern
-/// (new pattern PAIR for a transition universe — see the header comment).
-AtpgResult generate_tests(const fault::FaultList& faults,
-                          const AtpgOptions& options = {});
+/// Random phase + PODEM phase with fault dropping after every new test
+/// unit (see the header comment). `compiled`, when non-null, must be a
+/// compiled view of faults.circuit(); the result is the same with or
+/// without it.
+AtpgResult generate_tests(
+    const fault::FaultList& faults, const AtpgOptions& options = {},
+    std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr);
 
 /// Reverse-order static compaction: re-fault-simulate the set and keep
-/// only patterns needed to preserve every detected fault class. For a
-/// stuck-at universe this is the classic reverse simulation (keep the
-/// patterns that first-detect something when graded back to front); for a
-/// transition universe the unit of selection is the consecutive
-/// launch/capture PAIR — both halves of a selected pair are kept, so a
-/// launch pattern is never dropped without its capture and every credited
-/// pair stays adjacent in the output. Returns the compacted set (original
-/// order preserved among survivors); the compacted set detects every
-/// class the original set detects.
-sim::PatternSet reverse_order_compact(const fault::FaultList& faults,
-                                      const sim::PatternSet& patterns);
+/// the test unit at each detected class's last detection. A one-pattern
+/// (stuck-at) program is graded back to front with dropping, the classic
+/// reverse simulation; a transition program is graded forward once
+/// without dropping, since reversing it would scramble its pairs, and
+/// both halves of a selected pair are kept. Returns the compacted set
+/// (original order preserved among survivors); it detects every class
+/// the original set detects. `compiled` as in generate_tests.
+sim::PatternSet reverse_order_compact(
+    const fault::FaultList& faults, const sim::PatternSet& patterns,
+    std::shared_ptr<const circuit::CompiledCircuit> compiled = nullptr);
 
 }  // namespace lsiq::tpg

@@ -2,7 +2,7 @@
 
 #include <cmath>
 #include <cstdio>
-#include <exception>
+#include <cstdlib>
 #include <utility>
 
 namespace lsiq::util::json {
@@ -88,6 +88,12 @@ bool parse_flat_object(const std::string& line,
     ++i;  // closing quote
     return true;
   };
+  // One or more decimal digits.
+  const auto scan_digits = [&] {
+    const std::size_t first = i;
+    while (i < line.size() && line[i] >= '0' && line[i] <= '9') ++i;
+    return i > first;
+  };
 
   skip_space();
   if (i >= line.size() || line[i] != '{') return false;
@@ -115,20 +121,28 @@ bool parse_flat_object(const std::string& line,
       value.boolean = false;
       i += 5;
     } else {
+      // Exactly JSON's number grammar and a finite value: strtod alone
+      // would also take nan, inf, hex, a leading '+' and leading zeros.
       const std::size_t start = i;
-      while (i < line.size() && line[i] != ',' && line[i] != '}' &&
-             line[i] != ' ') {
+      if (i < line.size() && line[i] == '-') ++i;
+      if (i < line.size() && line[i] == '0') {
         ++i;
+      } else if (!scan_digits()) {
+        return false;
+      }
+      if (i < line.size() && line[i] == '.') {
+        ++i;
+        if (!scan_digits()) return false;
+      }
+      if (i < line.size() && (line[i] == 'e' || line[i] == 'E')) {
+        ++i;
+        if (i < line.size() && (line[i] == '+' || line[i] == '-')) ++i;
+        if (!scan_digits()) return false;
       }
       value.kind = Value::Kind::kNumber;
       value.text = line.substr(start, i - start);
-      try {
-        std::size_t consumed = 0;
-        value.number = std::stod(value.text, &consumed);
-        if (consumed != value.text.size()) return false;
-      } catch (const std::exception&) {
-        return false;
-      }
+      value.number = std::strtod(value.text.c_str(), nullptr);
+      if (!std::isfinite(value.number)) return false;
     }
     (*out)[key] = std::move(value);
     skip_space();

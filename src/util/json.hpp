@@ -12,6 +12,8 @@
 // untouched. parse_flat_object accepts exactly what the writer emits plus
 // the standard whitespace and \/ \b \f escapes, and returns false on any
 // malformation — callers treat such a line as torn/foreign and skip it.
+// A number must match JSON's grammar,
+// -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?, and be finite.
 #pragma once
 
 #include <cstdint>

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
@@ -166,6 +168,72 @@ TEST_F(BatchTest, OutOfRangeCountsAreTornLines) {
     ASSERT_NE(at, std::string::npos);
     torn.replace(at, std::string(c.field).size(), c.value);
     EXPECT_FALSE(BatchRecord::from_jsonl(torn).has_value()) << torn;
+  }
+}
+
+TEST_F(BatchTest, NonJsonNumbersAreTornLines) {
+  // A number outside JSON's grammar, or one that is not finite, makes the
+  // line malformed. Before the strict reader, a store line holding
+  // "coverage":nan,"dppm":-inf parsed, and lsiq_flow --canon printed
+  // those values back.
+  BatchRecord record;
+  record.spec = "x.spec";
+  record.status = "ok";
+  record.wall_ms = 16.0;
+  record.coverage = 0.5;
+  record.dppm = 1.0;
+  const std::string line = record.to_jsonl();
+  ASSERT_TRUE(BatchRecord::from_jsonl(line).has_value());
+  const struct {
+    const char* field;
+    const char* value;
+  } cases[] = {
+      {"\"coverage\":0.5", "\"coverage\":nan"},
+      {"\"coverage\":0.5", "\"coverage\":+0.5"},
+      {"\"coverage\":0.5", "\"coverage\":.5"},
+      {"\"coverage\":0.5", "\"coverage\":0.5e"},
+      {"\"coverage\":0.5", "\"coverage\":0.5.1"},
+      {"\"dppm\":1", "\"dppm\":-inf"},
+      {"\"dppm\":1", "\"dppm\":01"},
+      {"\"dppm\":1", "\"dppm\":1."},
+      {"\"dppm\":1", "\"dppm\":1e999"},
+      {"\"wall_ms\":16", "\"wall_ms\":0x10"},
+      {"\"wall_ms\":16", "\"wall_ms\":infinity"},
+      {"\"wall_ms\":16", "\"wall_ms\":-"},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.value);
+    std::string torn = line;
+    const std::size_t at = torn.find(c.field);
+    ASSERT_NE(at, std::string::npos);
+    torn.replace(at, std::string(c.field).size(), c.value);
+    EXPECT_FALSE(BatchRecord::from_jsonl(torn).has_value()) << torn;
+  }
+}
+
+TEST_F(BatchTest, FiniteDoublesReadBackExactly) {
+  // Whatever format_double writes for a finite value is a JSON number
+  // the strict reader takes back bit for bit.
+  for (const double x : {0.0, -0.0, 0.1, -2.5, 12.5, 1e21, -3.25e-7,
+                         0.99948770491803274, 1e-300, 4.9406564584124654e-324,
+                         1.7976931348623157e308}) {
+    SCOPED_TRACE(x);
+    BatchRecord record;
+    record.spec = "x.spec";
+    record.status = "ok";
+    record.wall_ms = x;
+    record.coverage = x;
+    record.dppm = -x;
+    const std::optional<BatchRecord> parsed =
+        BatchRecord::from_jsonl(record.to_jsonl());
+    ASSERT_TRUE(parsed.has_value()) << record.to_jsonl();
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->wall_ms),
+              std::bit_cast<std::uint64_t>(x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->coverage),
+              std::bit_cast<std::uint64_t>(x));
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parsed->dppm),
+              std::bit_cast<std::uint64_t>(-x));
+    EXPECT_EQ(parsed->to_jsonl(), record.to_jsonl());
   }
 }
 

@@ -542,6 +542,32 @@ TEST(ServiceProtocol, OutOfRangeIntegersAreMalformed) {
   EXPECT_EQ(edge->job, 0u);
 }
 
+TEST(ServiceProtocol, NonJsonNumbersAreMalformed) {
+  // A number must match JSON's grammar and be finite, or the request is
+  // refused as unparseable.
+  for (const char* line : {
+           "{\"op\":\"status\",\"job\":0x10}",
+           "{\"op\":\"status\",\"job\":+1}",
+           "{\"op\":\"status\",\"job\":01}",
+           "{\"op\":\"status\",\"job\":1.}",
+           "{\"op\":\"submit\",\"spec\":\"x\",\"priority\":.5}",
+           "{\"op\":\"submit\",\"spec\":\"x\",\"priority\":1e}",
+           "{\"op\":\"submit\",\"spec\":\"x\",\"deadline_ms\":1e999}",
+           "{\"op\":\"submit\",\"spec\":\"x\",\"deadline_ms\":infinity}",
+           "{\"op\":\"ping\",\"extra\":nan}",
+       }) {
+    SCOPED_TRACE(line);
+    EXPECT_FALSE(parse_request(line).has_value());
+  }
+  const std::optional<Request> fine = parse_request(
+      "{\"op\":\"submit\",\"spec\":\"x\",\"priority\":-0,"
+      "\"deadline_ms\":2.5e3,\"job\":0}");
+  ASSERT_TRUE(fine.has_value());
+  EXPECT_EQ(fine->priority, 0);
+  EXPECT_EQ(fine->deadline_ms, 2500);
+  EXPECT_EQ(fine->job, 0u);
+}
+
 TEST(ServiceProtocol, ErrorResponsesCarryTheTaxonomy) {
   namespace json = util::json;
   const std::string line =
@@ -804,9 +830,16 @@ TEST_F(ServiceTest, AcceptFailpointDoesNotLeakAConnectionSlot) {
   util::Failpoints::instance().arm_from_string(
       "service.accept=error(io,1)");
   {
+    // The drop can land before the request is written (the send fails
+    // with EPIPE) or after it (the read sees EOF); either way the dropped
+    // client sees an IoError.
     SocketClient dropped(socket);
-    dropped.send_line("{\"op\":\"ping\"}");
-    EXPECT_THROW(dropped.read_line(), IoError);
+    EXPECT_THROW(
+        {
+          dropped.send_line("{\"op\":\"ping\"}");
+          (void)dropped.read_line();
+        },
+        IoError);
   }
   {
     // With the slot intact, the next client is admitted, not refused
