@@ -265,15 +265,15 @@ void BM_FaultSim_GradeDeepRegions(benchmark::State& state) {
 BENCHMARK(BM_FaultSim_GradeDeepRegions)->Arg(0)->Arg(1)
     ->Unit(benchmark::kMillisecond);
 
-void BM_Bist_Session(benchmark::State& state) {
-  // The BIST job shape of the bist_aliasing sweep
-  // (tools/specs/sweeps/bist_aliasing_k8_512.spec): mult8, 512 LFSR
-  // patterns, an 8-bit MISR, every class graded on every block without
-  // dropping, on one lane.
+/// The BIST job shape of the bist_aliasing sweep
+/// (tools/specs/sweeps/bist_aliasing_k<width>_512.spec): mult8, 512 LFSR
+/// patterns, a `width`-bit MISR, every class graded on every block
+/// without dropping, on one lane.
+void bist_session_row(benchmark::State& state, int width) {
   const circuit::Circuit c = circuit::make_array_multiplier(8);
   const fault::FaultList faults = fault::FaultList::full_universe(c);
   bist::BistConfig config;
-  config.misr_width = 8;
+  config.misr_width = width;
   config.num_threads = 1;
   const bist::BistSession session(
       faults, tpg::lfsr_patterns(c.pattern_inputs().size(), 512, 29), config);
@@ -281,9 +281,18 @@ void BM_Bist_Session(benchmark::State& state) {
     const bist::BistResult r = session.run();
     benchmark::DoNotOptimize(r.signature_coverage);
   }
-  state.SetLabel("mult8 x 512 patterns, k = 8, 1 lane");
+  state.SetLabel("mult8 x 512 patterns, k = " + std::to_string(width) +
+                 ", 1 lane");
 }
+
+void BM_Bist_Session(benchmark::State& state) { bist_session_row(state, 8); }
 BENCHMARK(BM_Bist_Session)->Unit(benchmark::kMillisecond);
+
+// The sweep's widest register, whose fold reads the largest column table.
+void BM_Bist_SessionK32(benchmark::State& state) {
+  bist_session_row(state, 32);
+}
+BENCHMARK(BM_Bist_SessionK32)->Unit(benchmark::kMillisecond);
 
 void BM_Dictionary_Build(benchmark::State& state) {
   // The full pass/fail dictionary: one row word per (class, block), no

@@ -16,10 +16,14 @@
 // shift. Observation point i drives register stage i mod k — the classic
 // space-compaction wiring, under which two simultaneous error bits
 // landing on one stage cancel before they ever reach the register.
+// Misr::next is the register's definition; MisrFold applies 64 of its
+// steps at once, for grading whole 64-pattern blocks.
 #pragma once
 
+#include <array>
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace lsiq::bist {
 
@@ -35,23 +39,11 @@ class Misr {
   [[nodiscard]] int width() const noexcept { return width_; }
   [[nodiscard]] std::uint64_t taps() const noexcept { return taps_; }
 
-  /// Current signature (low `width` bits).
-  [[nodiscard]] std::uint64_t signature() const noexcept { return state_; }
-
-  /// Reset the register to a known state (default: all-zero, the
-  /// conventional BIST session start).
-  void reset(std::uint64_t state = 0) noexcept { state_ = state & mask_; }
-
-  /// One capture cycle: Galois shift of the register followed by XOR of
-  /// the compacted response word.
-  void step(std::uint64_t compacted) noexcept {
-    state_ = next(state_, compacted);
-  }
-
-  /// Pure transition function: the state that follows `state` when
-  /// `compacted` is captured. Exposed separately because the register is
-  /// linear over GF(2): fault grading evolves one *difference* state per
-  /// fault through this function (good XOR faulty), with the error bits
+  /// One capture cycle: the state that follows `state` when `compacted`
+  /// is captured — a Galois shift of the register followed by XOR of the
+  /// compacted response word. A session starts from the all-zero state.
+  /// The register is linear over GF(2), so fault grading evolves one
+  /// *difference* state per fault (good XOR faulty), with the error bits
   /// as input, and never needs a Misr object per fault.
   [[nodiscard]] std::uint64_t next(std::uint64_t state,
                                    std::uint64_t compacted) const noexcept {
@@ -71,7 +63,50 @@ class Misr {
   int width_;
   std::uint64_t taps_;
   std::uint64_t mask_;
-  std::uint64_t state_ = 0;
+};
+
+/// Up to 64 captures of one register in one call. Write A for the
+/// register's shift, next(d, 0). By linearity, L captures from state d
+/// with inputs c_0 … c_{L-1} end in
+///
+///   A^L d  xor  XOR over p of A^(L-1-p) c_p,
+///
+/// and splitting each input by stage (lane p of stages[s] is the bit
+/// stage s captures at p) turns the sum into one column A^(L-1-p) e_s per
+/// set input bit. The fold holds the columns A^(63-q) e_s (k x 64 words,
+/// stepped out of Misr::next) and A^64 as ceil(k/8) byte-sliced tables of
+/// 256 words, filled by linearity: at most 48 KB, at k = 64. A full block
+/// costs ceil(k/8) lookups plus one XOR per set input bit; a shorter one
+/// shifts its stage words up to lane 63 so the same columns apply and
+/// steps A serially. Nothing inverts A: taps without bit k-1 make it
+/// singular.
+class MisrFold {
+ public:
+  /// Per-stage input words of one block; only the first k (the
+  /// register's width) are read.
+  using StageWords = std::array<std::uint64_t, 64>;
+
+  explicit MisrFold(const Misr& misr);
+
+  /// A^lanes state: `lanes` captures of all-zero inputs, lanes in [1, 64].
+  [[nodiscard]] std::uint64_t shift(std::uint64_t state,
+                                    std::size_t lanes) const noexcept;
+
+  /// The state after `lanes` captures (lanes in [1, 64]) from `state`,
+  /// where lane p of stages[s] is the bit stage s captures at capture p.
+  /// Lanes >= `lanes` of the stage words are ignored. Equal to `lanes`
+  /// Misr::next steps.
+  [[nodiscard]] std::uint64_t fold(std::uint64_t state,
+                                   const StageWords& stages,
+                                   std::size_t lanes) const noexcept;
+
+ private:
+  Misr misr_;
+  std::size_t slices_;
+  /// [s * 64 + q] = A^(63-q) e_s.
+  std::vector<std::uint64_t> columns_;
+  /// [i * 256 + b] = A^64 (b << 8i).
+  std::vector<std::uint64_t> power64_;
 };
 
 /// Analytic aliasing model: the probability that a fault whose response

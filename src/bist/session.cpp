@@ -86,18 +86,29 @@ namespace {
 /// the whole error history. For a transition universe the driver's words
 /// are launch-gated, so a slow line corrupts the response stream only on
 /// capture patterns whose predecessor launched the transition.
+///
+/// A block folds in one MisrFold call per class: the class's point words
+/// at the lanes of its detect word are XORed into per-stage words along
+/// the Misr::input_bit wiring, so two errors on one stage cancel exactly
+/// as they do in the register.
 struct SignatureGrader : fault::BlockConsumer {
   static constexpr bool kPointWords = true;
 
-  SignatureGrader(const Misr& register_spec, const CompiledCircuit& compiled,
+  SignatureGrader(const Misr& misr, const CompiledCircuit& compiled,
                   const sim::PatternSet& program, std::size_t classes)
-      : misr(register_spec),
+      : fold(misr),
+        width(static_cast<std::size_t>(misr.width())),
         points(compiled.observed_points()),
         patterns(program),
-        reference(register_spec),
         delta(classes, 0),
         first_error(classes, -1),
-        first_divergence(classes, -1) {}
+        first_divergence(classes, -1) {
+    stage.reserve(points.size());
+    for (std::size_t j = 0; j < points.size(); ++j) {
+      stage.push_back(static_cast<std::uint8_t>(
+          std::countr_zero(misr.input_bit(j))));
+    }
+  }
 
   [[nodiscard]] std::size_t valid_lanes(std::size_t block) const {
     return std::min<std::size_t>(64, patterns.size() - block * 64);
@@ -105,44 +116,53 @@ struct SignatureGrader : fault::BlockConsumer {
 
   /// Calling thread: fold the good responses into the reference.
   void on_block(std::size_t block, const std::vector<std::uint64_t>& good) {
-    const std::size_t valid = valid_lanes(block);
-    for (std::size_t p = 0; p < valid; ++p) {
-      std::uint64_t compacted = 0;
-      for (std::size_t i = 0; i < points.size(); ++i) {
-        if ((good[points[i]] >> p) & 1ULL) compacted ^= misr.input_bit(i);
-      }
-      reference.step(compacted);
+    const std::uint64_t mask = patterns.block_mask(block);
+    MisrFold::StageWords stages{};
+    for (std::size_t j = 0; j < points.size(); ++j) {
+      stages[stage[j]] ^= good[points[j]] & mask;
     }
+    reference = fold.fold(reference, stages, valid_lanes(block));
   }
 
   void visit(std::uint32_t cls, std::size_t block, std::uint64_t word,
              const std::vector<std::uint64_t>& point_words) {
-    std::uint64_t d = delta[cls];
+    const std::uint64_t d = delta[cls];
     if (d == 0 && word == 0) return;  // difference stays zero
-    const std::int64_t base = static_cast<std::int64_t>(block) * 64;
     const std::size_t valid = valid_lanes(block);
-    for (std::size_t p = 0; p < valid; ++p) {
-      std::uint64_t compacted = 0;
-      if ((word >> p) & 1ULL) {
-        for (std::size_t j = 0; j < point_words.size(); ++j) {
-          if ((point_words[j] >> p) & 1ULL) compacted ^= misr.input_bit(j);
-        }
-      }
-      d = misr.next(d, compacted);
-      if (d != 0 && first_divergence[cls] < 0) {
-        first_divergence[cls] = base + static_cast<std::int64_t>(p);
-      }
+    if (word == 0) {
+      delta[cls] = fold.shift(d, valid);
+      return;
     }
-    delta[cls] = d;
-    if (word != 0 && first_error[cls] < 0) {
+    const std::int64_t base = static_cast<std::int64_t>(block) * 64;
+    if (first_error[cls] < 0) {
       first_error[cls] = base + std::countr_zero(word);
     }
+    // Only the register's `width` stages are written or read.
+    MisrFold::StageWords stages;
+    std::fill_n(stages.begin(), width, 0);
+    for (std::size_t j = 0; j < points.size(); ++j) {
+      stages[stage[j]] ^= point_words[j] & word;
+    }
+    if (first_divergence[cls] < 0) {
+      // Never diverged, so d is 0 and turns nonzero at the first lane
+      // whose captured word is nonzero.
+      std::uint64_t captured = 0;
+      for (std::size_t s = 0; s < width; ++s) captured |= stages[s];
+      if (captured != 0) {
+        first_divergence[cls] = base + std::countr_zero(captured);
+      }
+    }
+    delta[cls] = fold.fold(d, stages, valid);
   }
 
-  const Misr& misr;
+  MisrFold fold;
+  std::size_t width;
   const std::vector<GateId>& points;
+  /// Register stage each observed point drives (Misr::input_bit).
+  std::vector<std::uint8_t> stage;
   const sim::PatternSet& patterns;
-  Misr reference;
+  /// Good signature so far, from the all-zero start.
+  std::uint64_t reference = 0;
   /// Per class; each slot is written only by the lane visiting its class.
   std::vector<std::uint64_t> delta;
   std::vector<std::int64_t> first_error;
@@ -163,7 +183,7 @@ BistResult BistSession::run() const {
   BistResult result;
   result.pattern_count = patterns_.size();
   result.misr_width = misr.width();
-  result.good_signature = grader.reference.signature();
+  result.good_signature = grader.reference;
   result.fault_signatures.resize(classes);
   result.first_error_pattern = std::move(grader.first_error);
   result.first_divergence_pattern = std::move(grader.first_divergence);

@@ -21,11 +21,15 @@
 // in time (the register's linear recurrence folding an error history back
 // onto the good signature). Because the MISR is linear over GF(2), each
 // fault is graded by evolving the signature *difference* with the
-// fault's per-point error words as input — zero state and zero errors
-// short-circuit, so undetected faults cost almost nothing beyond their
-// propagation check. The result feeds fault::CoverageCurve and the
-// quality stack (core::QualityAnalyzer), which turns the aliasing loss
-// into a DPPM statement à la Figures 1-4.
+// fault's per-point error words as input, a whole 64-pattern block at a
+// time: the words are XORed into one word per register stage, and
+// bist::MisrFold maps (difference, stage words) to the difference after
+// the block with ceil(k/8) table lookups plus one XOR per error bit. A
+// fault with a zero difference and no error in a block costs nothing, one
+// with no error only the lookups, so undetected faults cost almost
+// nothing beyond their propagation check. The result feeds
+// fault::CoverageCurve and the quality stack (core::QualityAnalyzer),
+// which turns the aliasing loss into a DPPM statement à la Figures 1-4.
 #pragma once
 
 #include <cstdint>

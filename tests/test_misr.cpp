@@ -3,11 +3,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
+#include <string>
 #include <unordered_set>
 
 #include "tpg/lfsr.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace lsiq::bist {
 namespace {
@@ -16,7 +19,6 @@ TEST(Misr, ConstructionAndDomainChecks) {
   const Misr m(16);
   EXPECT_EQ(m.width(), 16);
   EXPECT_EQ(m.taps(), tpg::maximal_taps(16));
-  EXPECT_EQ(m.signature(), 0u);
 
   EXPECT_THROW(Misr(0), ContractViolation);
   EXPECT_THROW(Misr(-3), ContractViolation);
@@ -32,21 +34,18 @@ TEST(Misr, StepMatchesHandComputedGaloisShift) {
   // Width 8, taps 0xB8 (the Lfsr table). From state 1: the shifted-out
   // bit is 1, so the register becomes (1 >> 1) ^ 0xB8 = 0xB8, then the
   // compacted input XORs in.
-  Misr m(8);
-  m.reset(1);
-  m.step(0x00);
-  EXPECT_EQ(m.signature(), 0xB8u);
+  const Misr m(8);
+  const std::uint64_t s = m.next(1, 0x00);
+  EXPECT_EQ(s, 0xB8u);
   // 0xB8 has lsb 0: plain shift to 0x5C, then ^ 0x21.
-  m.step(0x21);
-  EXPECT_EQ(m.signature(), 0x7Du);
+  EXPECT_EQ(m.next(s, 0x21), 0x7Du);
 }
 
 TEST(Misr, ZeroStateIsFixedOnlyWithoutInput) {
-  Misr m(16);
-  m.step(0);
-  EXPECT_EQ(m.signature(), 0u);  // no error, no divergence
-  m.step(1);
-  EXPECT_NE(m.signature(), 0u);  // any input bit perturbs the register
+  const Misr m(16);
+  const std::uint64_t s = m.next(0, 0);
+  EXPECT_EQ(s, 0u);             // no error, no divergence
+  EXPECT_NE(m.next(s, 1), 0u);  // any input bit perturbs the register
 }
 
 TEST(Misr, NonZeroStateStaysNonZeroWithoutInput) {
@@ -103,10 +102,64 @@ TEST(Misr, InputBitFoldsPointsModuloWidth) {
 }
 
 TEST(Misr, SignatureStaysInsideTheRegisterWidth) {
-  Misr m(4);
+  const Misr m(4);
+  std::uint64_t s = 0;
   for (int i = 0; i < 100; ++i) {
-    m.step(0xFFFFFFFFFFFFFFFFULL);  // over-wide input is masked
-    EXPECT_LT(m.signature(), 16u);
+    s = m.next(s, 0xFFFFFFFFFFFFFFFFULL);  // over-wide input is masked
+    EXPECT_LT(s, 16u);
+  }
+}
+
+/// `lanes` serial captures of stage words: lane p of stages[s] is the
+/// bit stage s takes at capture p.
+std::uint64_t step_serially(const Misr& m, std::uint64_t state,
+                            const MisrFold::StageWords& stages,
+                            std::size_t lanes) {
+  for (std::size_t p = 0; p < lanes; ++p) {
+    std::uint64_t compacted = 0;
+    for (int s = 0; s < m.width(); ++s) {
+      compacted |= ((stages[static_cast<std::size_t>(s)] >> p) & 1ULL) << s;
+    }
+    state = m.next(state, compacted);
+  }
+  return state;
+}
+
+TEST(MisrFold, EqualsSerialStepsAtEveryLaneCount) {
+  // Standard polynomials at every tabulated width, custom taps at widths
+  // without one, and 0x0E at k = 8, whose missing bit 7 makes the shift
+  // singular: the fold must never rely on inverting it.
+  const Misr registers[] = {Misr(4),       Misr(8),        Misr(16),
+                            Misr(24),      Misr(32),       Misr(48),
+                            Misr(64),      Misr(1, 0x1),   Misr(3, 0x6),
+                            Misr(5, 0x14), Misr(8, 0x0E)};
+  util::Rng rng(1981);
+  for (const Misr& m : registers) {
+    SCOPED_TRACE("k = " + std::to_string(m.width()) + ", taps = " +
+                 std::to_string(m.taps()));
+    const MisrFold fold(m);
+    const std::uint64_t mask =
+        m.width() == 64 ? ~0ULL : (1ULL << m.width()) - 1;
+    for (std::size_t lanes = 1; lanes <= 64; ++lanes) {
+      for (int trial = 0; trial < 4; ++trial) {
+        const std::uint64_t state = rng.next_u64() & mask;
+        MisrFold::StageWords stages{};
+        // Sparse and dense words, and the all-zero input of trial 0.
+        for (int s = 0; s < m.width(); ++s) {
+          std::uint64_t word = trial == 0 ? 0 : rng.next_u64();
+          if (trial == 1) word &= rng.next_u64() & rng.next_u64();
+          stages[static_cast<std::size_t>(s)] = word;
+        }
+        // Stage-word lanes past `lanes` are left set: the fold must ignore
+        // them, and the serial reference never reads them.
+        const std::uint64_t expected = step_serially(m, state, stages, lanes);
+        ASSERT_EQ(fold.fold(state, stages, lanes), expected)
+            << lanes << " lanes, trial " << trial;
+        if (trial == 0) {
+          ASSERT_EQ(fold.shift(state, lanes), expected) << lanes << " lanes";
+        }
+      }
+    }
   }
 }
 
