@@ -354,6 +354,19 @@ void BM_Atpg_Generate(benchmark::State& state) {
 }
 BENCHMARK(BM_Atpg_Generate)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
+void BM_Tpg_LfsrPatterns(benchmark::State& state) {
+  // The lfsr pattern source of every lfsr spec: 1024 scan-loaded patterns
+  // over 32 inputs (mult16's width), seed 1981, as table1.spec asks.
+  for (auto _ : state) {
+    const sim::PatternSet patterns = tpg::lfsr_patterns(32, 1024, 1981);
+    benchmark::DoNotOptimize(patterns.block_word(0, 0));
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          1024);
+  state.SetLabel("32 inputs x 1024 patterns");
+}
+BENCHMARK(BM_Tpg_LfsrPatterns)->Unit(benchmark::kMillisecond);
+
 void BM_Podem_PerFault(benchmark::State& state) {
   // Arg 0 = plain PODEM, arg 1 = implication-assisted. The engine is
   // built ONCE outside the timed loop, exactly how the ATPG driver

@@ -58,9 +58,7 @@ LineValue ImplicationEngine::constant(GateId id) const {
 }
 
 std::size_t ImplicationEngine::learned_edge_count() const {
-  std::size_t count = 0;
-  for (const std::vector<Literal>& edges : learned_) count += edges.size();
-  return count;
+  return learned_.size();
 }
 
 bool ImplicationEngine::set_value(Probe& probe, GateId id, Tri value) const {
@@ -84,9 +82,11 @@ bool ImplicationEngine::examine(Probe& probe, GateId id) const {
   const std::vector<Tri>& values = probe.values;
   // Learned indirect implications fire off the gate's literal regardless
   // of its type (they encode non-local consequences, not gate semantics).
-  if (!learned_.empty() && values[id] != Tri::kX) {
+  if (!learned_offset_.empty() && values[id] != Tri::kX) {
     const Literal lit = make_literal(id, values[id] == Tri::kOne);
-    for (const Literal forced : learned_[lit]) {
+    for (std::uint32_t e = learned_offset_[lit]; e < learned_offset_[lit + 1];
+         ++e) {
+      const Literal forced = learned_[e];
       if (!set_value(probe, literal_line(forced), literal_tri(forced))) {
         return false;
       }
@@ -240,14 +240,30 @@ void ImplicationEngine::build_base() {
 }
 
 struct ImplicationEngine::Closures {
-  /// forced[L]: the kMaxForcedStored lowest-id lines L forces (other than
-  /// its own), as sorted literals; truncated[L]: L forces more than that.
-  std::vector<std::vector<Literal>> forced;
-  std::vector<char> truncated;
+  /// Literal L's stored lines are arena[start, start + count): the
+  /// kMaxForcedStored lowest-id lines L forces (other than its own), as
+  /// sorted literals. kRecorded: L was probed and closed consistently;
+  /// kTruncated: L forces more lines than were stored.
+  static constexpr std::uint8_t kRecorded = 1;
+  static constexpr std::uint8_t kTruncated = 2;
+  struct Entry {
+    std::uint32_t start = 0;
+    std::uint16_t count = 0;
+    std::uint8_t flags = 0;
+  };
+  std::vector<Literal> arena;
+  std::vector<Entry> entries;
 
   void clear(std::size_t literal_count) {
-    forced.assign(literal_count, {});
-    truncated.assign(literal_count, 0);
+    arena.clear();
+    entries.assign(literal_count, Entry{});
+  }
+
+  [[nodiscard]] std::span<const Literal> forced(Literal lit) const {
+    return {arena.data() + entries[lit].start, entries[lit].count};
+  }
+  [[nodiscard]] bool has(Literal lit, std::uint8_t flag) const {
+    return (entries[lit].flags & flag) != 0;
   }
 
   /// Record the closure of `lit` from the probe's trail (propagation
@@ -255,25 +271,30 @@ struct ImplicationEngine::Closures {
   void record(Literal lit, Probe& probe) {
     std::vector<GateId>& lines = probe.trail;
     std::sort(lines.begin(), lines.end());
-    std::vector<Literal>& list = forced[lit];
+    Entry& entry = entries[lit];
+    entry.start = static_cast<std::uint32_t>(arena.size());
+    entry.flags = kRecorded;
     for (const GateId m : lines) {
       if (m == literal_line(lit)) continue;
-      if (list.size() >= kMaxForcedStored) {
-        truncated[lit] = 1;
+      if (arena.size() - entry.start >= kMaxForcedStored) {
+        entry.flags |= kTruncated;
         break;
       }
-      list.push_back(make_literal(m, probe.values[m] == Tri::kOne));
+      arena.push_back(make_literal(m, probe.values[m] == Tri::kOne));
     }
+    entry.count = static_cast<std::uint16_t>(arena.size() - entry.start);
   }
 };
 
-bool ImplicationEngine::sweep(Probe& probe, bool bake, Closures* closures) {
+bool ImplicationEngine::sweep(Probe& probe, bool bake, Closures* closures,
+                              const std::vector<char>* quiet) {
   if (closures != nullptr) closures->clear(2 * n_);
   bool changed = false;
   for (GateId id = 0; id < static_cast<GateId>(n_); ++id) {
     if (base_[id] != Tri::kX) continue;
     for (const bool one : {false, true}) {
       const Literal lit = make_literal(id, one);
+      if (!changed && quiet != nullptr && (*quiet)[lit] != 0) continue;
       const bool consistent = assume(probe, {&lit, 1});
       if (consistent && closures != nullptr) closures->record(lit, probe);
       restore(probe);
@@ -294,6 +315,7 @@ bool ImplicationEngine::sweep(Probe& probe, bool bake, Closures* closures) {
 }
 
 void ImplicationEngine::learn() {
+  learned_offset_.clear();
   learned_.clear();
   Probe probe = make_probe();
 
@@ -310,31 +332,64 @@ void ImplicationEngine::learn() {
     settled = !sweep(probe, true, &closures);
   }
   if (!settled) sweep(probe, false, &closures);
-  const std::vector<std::vector<Literal>>& forced = closures.forced;
-  const std::vector<char>& truncated = closures.truncated;
   const std::size_t literal_count = 2 * n_;
 
   // Phase 3: contrapositive learning. L => M gives not-M => not-L; store
   // the pair on not-M unless its own direct closure already derives it
   // (then it is not an *indirect* implication, just gate rules replayed).
   // Distinct (lit, m) pairs give distinct edges, so no dedup is needed.
-  learned_.assign(literal_count, {});
+  struct Edge {
+    Literal source;
+    Literal target;
+  };
+  std::vector<Edge> pairs;
   for (Literal lit = 0; lit < static_cast<Literal>(literal_count); ++lit) {
-    for (const Literal m : forced[lit]) {
+    for (const Literal m : closures.forced(lit)) {
       const Literal source = literal_not(m);
       const Literal target = literal_not(lit);
-      if (truncated[source] != 0) continue;
-      const auto& direct = forced[source];
+      if (closures.has(source, Closures::kTruncated)) continue;
+      const std::span<const Literal> direct = closures.forced(source);
       if (std::binary_search(direct.begin(), direct.end(), target)) continue;
-      auto& edges = learned_[source];
-      if (edges.size() >= kMaxLearnedPerLiteral) continue;
-      edges.push_back(target);
+      pairs.push_back(Edge{source, target});
     }
   }
+  // One stable counting pass into CSR: each source keeps its first
+  // kMaxLearnedPerLiteral pairs, in the order they were generated.
+  learned_offset_.assign(literal_count + 1, 0);
+  for (const Edge& edge : pairs) {
+    std::uint32_t& count = learned_offset_[edge.source + 1];
+    if (count < kMaxLearnedPerLiteral) ++count;
+  }
+  for (std::size_t lit = 0; lit < literal_count; ++lit) {
+    learned_offset_[lit + 1] += learned_offset_[lit];
+  }
+  learned_.resize(learned_offset_[literal_count]);
+  std::vector<std::uint32_t> cursor(learned_offset_.begin(),
+                                    learned_offset_.end() - 1);
+  for (const Edge& edge : pairs) {
+    std::uint32_t& at = cursor[edge.source];
+    if (at < learned_offset_[edge.source + 1]) learned_[at++] = edge.target;
+  }
 
-  // Phase 4: constants only the learned edges can expose.
+  // Phase 4: constants only the learned edges can expose. A recorded,
+  // untruncated closure in which no literal (L included) has a learned
+  // edge is its own closure with the edges: nothing in it can fire one.
+  // It was consistent, so the first round skips probing such a quiet L
+  // until a bake changes the constants the closure was recorded against.
+  const auto has_edges = [this](Literal lit) {
+    return learned_offset_[lit] != learned_offset_[lit + 1];
+  };
+  std::vector<char> quiet(literal_count, 0);
+  for (Literal lit = 0; lit < static_cast<Literal>(literal_count); ++lit) {
+    if (!closures.has(lit, Closures::kRecorded) ||
+        closures.has(lit, Closures::kTruncated) || has_edges(lit)) {
+      continue;
+    }
+    const std::span<const Literal> forced = closures.forced(lit);
+    quiet[lit] = std::none_of(forced.begin(), forced.end(), has_edges);
+  }
   for (int round = 0; round < kPostLearnRounds; ++round) {
-    if (!sweep(probe, true, nullptr)) break;
+    if (!sweep(probe, true, nullptr, round == 0 ? &quiet : nullptr)) break;
   }
 }
 
@@ -482,6 +537,13 @@ std::vector<GateId> ImplicationEngine::dominators(GateId id) const {
 std::vector<Literal> ImplicationEngine::necessary_seeds(
     const fault::Fault& fault) const {
   std::vector<Literal> seeds;
+  necessary_seeds(fault, seeds);
+  return seeds;
+}
+
+void ImplicationEngine::necessary_seeds(const fault::Fault& fault,
+                                        std::vector<Literal>& seeds) const {
+  seeds.clear();
   const GateId line = fault::fault_line(*compiled_, fault);
   // Activation: the good machine must drive the opposite of the stuck
   // value onto the faulted line.
@@ -491,7 +553,7 @@ std::vector<Literal> ImplicationEngine::necessary_seeds(
   if (!fault::is_stem(fault)) {
     const GateType type = compiled_->type(fault.gate);
     // A DFF's D pin is itself captured: activation is the whole story.
-    if (type == GateType::kDff) return seeds;
+    if (type == GateType::kDff) return;
     // The effect lives only on the faulted branch, so every other pin of
     // the reading gate carries its good value — and must be
     // non-controlling or the gate output is identical in both machines.
@@ -535,7 +597,6 @@ std::vector<Literal> ImplicationEngine::necessary_seeds(
 
   std::sort(seeds.begin(), seeds.end());
   seeds.erase(std::unique(seeds.begin(), seeds.end()), seeds.end());
-  return seeds;
 }
 
 NecessaryAssignments ImplicationEngine::necessary_assignments(

@@ -41,6 +41,22 @@
 // justification_assignments() make their own probe, one copy of the
 // constants per call. Memory is O(node_count * max fanin + learned
 // edges); nothing is quadratic in node_count.
+//
+// The learned edges are one CSR array: literal L's edges are a contiguous
+// slice, at most 64 of them, in the order learning generated them. The
+// learning sweep's direct closures live in one flat arena (per literal a
+// start, a count of at most its 256 lowest-id lines, and recorded and
+// truncated flags) that exists only while learn() runs; no closure owns a
+// vector. After learning, the first post-learn round of implied constants
+// skips the probe of every literal whose recorded closure is consistent,
+// untruncated and holds no literal with a learned edge, the literal
+// itself included. No edge can fire inside such a closure, so with the
+// edges it is that same consistent closure and the probe cannot
+// contradict. The skip stops at the round's first bake: a new constant
+// changes what the closures were recorded against. Skipping past a bake
+// would only defer a constant to the next round, which probes every
+// literal, so no output shows that stop unless the round cap ends the
+// rounds first.
 #pragma once
 
 #include <cstdint>
@@ -170,6 +186,11 @@ class ImplicationEngine {
   [[nodiscard]] std::vector<Literal> necessary_seeds(
       const fault::Fault& fault) const;
 
+  /// Same list, written into `out` (cleared first), so a loop over every
+  /// fault reuses one buffer.
+  void necessary_seeds(const fault::Fault& fault,
+                       std::vector<Literal>& out) const;
+
   /// Necessary assignments for JUSTIFYING line == value (no observation
   /// requirement): the closure of the single literal. contradictory ==
   /// true proves the line constant at the opposite value.
@@ -191,8 +212,11 @@ class ImplicationEngine {
   /// One pass over every free literal: probe it, record a consistent
   /// closure in `closures` (when non-null) and, when `bake` is set, bake a
   /// contradictory literal's opposite value into base_ (and the probe) as
-  /// an implied constant. Returns true when base_ changed.
-  bool sweep(Probe& probe, bool bake, Closures* closures);
+  /// an implied constant. Until the pass's first bake, a literal marked in
+  /// `quiet` (when non-null) is known to close consistently and is not
+  /// probed. Returns true when base_ changed.
+  bool sweep(Probe& probe, bool bake, Closures* closures,
+             const std::vector<char>* quiet = nullptr);
 
   /// Nearest common dominator of two processed nodes (CHK intersect,
   /// walking idom chains by rank toward the sink).
@@ -209,9 +233,12 @@ class ImplicationEngine {
   /// Baked-in per-line constants (tied + implication-derived).
   std::vector<sim::Tri> base_;
 
-  /// Learned indirect implications: for each literal (index), the
-  /// literals it forces that no local gate rule derives.
-  std::vector<std::vector<Literal>> learned_;
+  /// Learned indirect implications in CSR form: literal L forces
+  /// learned_[learned_offset_[L] .. learned_offset_[L + 1]), literals no
+  /// local gate rule derives. learned_offset_ is empty until learning
+  /// has built it.
+  std::vector<std::uint32_t> learned_offset_;
+  std::vector<Literal> learned_;
 
   /// Dominators: immediate dominator per gate (sink_ = virtual sink id,
   /// kNoGate = unreachable), processing rank for chain walks.

@@ -61,8 +61,14 @@ RedundancyReport identify_redundancies(const ImplicationEngine& engine) {
   // The inverted index maps a KILLING literal (the negation of some
   // fault's necessary assignment) to the faults it kills: when a stem
   // closure forces that literal, those faults cannot be detected while
-  // the stem holds that value.
-  std::vector<std::vector<std::uint32_t>> killed_by(2 * n);
+  // the stem holds that value. Its (literal, fault) pairs are collected
+  // in fault order, then laid out in CSR form below.
+  struct Kill {
+    Literal literal;
+    std::uint32_t fault;
+  };
+  std::vector<Kill> kills;
+  std::vector<Literal> seeds;  // one buffer for every fault's seeds
   for (std::size_t i = 0; i < fault_count; ++i) {
     const fault::Fault& fault = faults[i];
     const GateId line = fault::fault_line(compiled, fault);
@@ -80,7 +86,7 @@ RedundancyReport identify_redundancies(const ImplicationEngine& engine) {
       reason[i] = RedundancyReason::kUnobservable;
       continue;
     }
-    const std::vector<Literal> seeds = engine.necessary_seeds(fault);
+    engine.necessary_seeds(fault, seeds);
     // Seed-level conflicts: two opposite literals on one line (sorted
     // seeds put them adjacent), or a literal an implied constant forbids.
     bool conflicted = false;
@@ -105,9 +111,21 @@ RedundancyReport identify_redundancies(const ImplicationEngine& engine) {
       continue;
     }
     for (const Literal seed : seeds) {
-      killed_by[literal_not(seed)].push_back(static_cast<std::uint32_t>(i));
+      kills.push_back(Kill{literal_not(seed), static_cast<std::uint32_t>(i)});
     }
   }
+  // One stable counting pass: literal L kills
+  // killed_by[killed_offset[L] .. killed_offset[L + 1]), in fault order.
+  const std::size_t literal_count = 2 * std::size_t{n};
+  std::vector<std::uint32_t> killed_offset(literal_count + 1, 0);
+  for (const Kill& kill : kills) ++killed_offset[kill.literal + 1];
+  for (std::size_t lit = 0; lit < literal_count; ++lit) {
+    killed_offset[lit + 1] += killed_offset[lit];
+  }
+  std::vector<std::uint32_t> killed_by(kills.size());
+  std::vector<std::uint32_t> cursor(killed_offset.begin(),
+                                    killed_offset.end() - 1);
+  for (const Kill& kill : kills) killed_by[cursor[kill.literal]++] = kill.fault;
 
   // ---- FIRE: per-stem conflict sets ----
   // For each fanout stem s and polarity v, the closure of s = v kills the
@@ -135,7 +153,9 @@ RedundancyReport identify_redundancies(const ImplicationEngine& engine) {
       for (const GateId line : probe.trail) {
         const Literal forced =
             make_literal(line, probe.values[line] == Tri::kOne);
-        for (const std::uint32_t index : killed_by[forced]) {
+        for (std::uint32_t k = killed_offset[forced];
+             k < killed_offset[forced + 1]; ++k) {
+          const std::uint32_t index = killed_by[k];
           if (killed[index] != stem) {
             killed[index] = stem;
             if (one) hit.push_back(index);

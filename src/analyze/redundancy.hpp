@@ -21,7 +21,11 @@
 //     s = 0 AND s = 1, so no pattern exists. Implemented per stem with an
 //     inverted literal -> faults index over the per-fault necessary
 //     seeds, so each stem costs two implication closures, not a pass
-//     over every fault.
+//     over every fault. Every fault's seeds go through one reused buffer
+//     (ImplicationEngine::necessary_seeds(fault, out)), and the index is
+//     one CSR array built by a stable counting pass, each literal's
+//     faults in site order: the proof allocates nothing per fault or per
+//     literal.
 //
 // Sites come back in FaultList site order (per gate: stem then pins,
 // stuck-at-0 then stuck-at-1), which lets the analyze pass merge them

@@ -158,11 +158,14 @@ void CompiledCircuit::build_program() {
 }
 
 void CompiledCircuit::eval_suffix(std::size_t from_level,
-                                  std::uint64_t* values, GateId skip) const {
-  const std::size_t run_count = runs_.size();
+                                  std::uint64_t* values, GateId skip,
+                                  std::size_t through_level) const {
   const EvalStep* steps = steps_.data();
+  const std::size_t run_count = through_level >= depth_
+                                    ? runs_.size()
+                                    : run_level_begin_[through_level + 1];
   std::size_t r =
-      from_level > depth_ ? run_count : run_level_begin_[from_level];
+      from_level > depth_ ? runs_.size() : run_level_begin_[from_level];
 
 // One tight loop per run kind; the `skip` test is a never-taken branch for
 // every gate but an injected fault site.

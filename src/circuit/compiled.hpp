@@ -100,13 +100,20 @@ class CompiledCircuit {
     return level > depth_ ? eval_order_.size() : eval_level_begin_[level];
   }
 
-  /// Evaluate every gate at level >= `from_level` into `values` (dense,
-  /// node_count() words) through the run-structured program — the hot
-  /// levelized sweep shared by good-machine simulation (from_level = 0)
-  /// and suffix resimulation. `skip`, when not kNoGate, names one gate
-  /// whose value is left untouched (an injected fault site).
+  /// through_level value of eval_suffix that sweeps to the top level.
+  static constexpr std::size_t kTopLevel = static_cast<std::size_t>(-1);
+
+  /// Evaluate every gate at level >= `from_level` and <= `through_level`
+  /// into `values` (dense, node_count() words) through the run-structured
+  /// program — the hot levelized sweep shared by good-machine simulation
+  /// (from_level = 0) and suffix resimulation. `skip`, when not kNoGate,
+  /// names one gate whose value is left untouched (an injected fault
+  /// site). By default the sweep runs to the top of the circuit; a lower
+  /// `through_level` leaves every gate above it as it was, which suits a
+  /// caller that reads no gate above that level.
   void eval_suffix(std::size_t from_level, std::uint64_t* values,
-                   GateId skip = kNoGate) const;
+                   GateId skip = kNoGate,
+                   std::size_t through_level = kTopLevel) const;
   [[nodiscard]] const std::vector<GateId>& pattern_inputs() const noexcept {
     return pattern_inputs_;
   }

@@ -19,9 +19,11 @@
 // which its effect reaches the root, Propagator::site_word), and a region
 // whose site words are not all 0 gets one stem sweep with its root
 // inverted (Propagator::stem_word); a class's detect word is site AND
-// stem. Each lane owns a Propagator synced to the block and takes a
-// strided share of the regions; one lane runs inline on the calling
-// thread, more run on a pool built for the call.
+// stem. Under a non-full schedule every sweep of a block ends at the
+// highest level of any point strobed in it, found once per block. Each
+// lane owns a Propagator synced to the block and takes a strided share
+// of the regions; one lane runs inline on the calling thread, more run
+// on a pool built for the call.
 #pragma once
 
 #include <algorithm>
@@ -123,7 +125,9 @@ void drive_blocks(const FaultList& faults, const sim::PatternSet& patterns,
               "drive_blocks: pattern width does not match circuit");
   LSIQ_EXPECT(class_begin <= class_end && class_end <= faults.class_count(),
               "drive_blocks: class range out of bounds");
-  ScheduleMasks strobe_masks(schedule, circuit.observed_points().size());
+  const std::vector<circuit::GateId>& observed_points =
+      compiled->observed_points();
+  ScheduleMasks strobe_masks(schedule, observed_points.size());
   // Once per drive, and only when some point starts late: under full
   // observation every class is awake from pattern 0.
   std::vector<std::size_t> wake;
@@ -203,6 +207,18 @@ void drive_blocks(const FaultList& faults, const sim::PatternSet& patterns,
     const std::vector<std::uint64_t>& good = good_sim.values();
     const std::uint64_t mask = patterns.block_mask(b);
     const std::vector<std::uint64_t>* point_masks = strobe_masks.for_block(b);
+    // No gate above the highest point strobed in this block feeds a
+    // compared point, so every stem sweep of the block ends there.
+    std::size_t through_level = circuit::CompiledCircuit::kTopLevel;
+    if (point_masks != nullptr) {
+      through_level = 0;
+      for (std::size_t i = 0; i < observed_points.size(); ++i) {
+        if ((*point_masks)[i] != 0) {
+          through_level = std::max<std::size_t>(
+              through_level, compiled->level(observed_points[i]));
+        }
+      }
+    }
     const std::size_t block_end = (b + 1) * 64;
     consumer.on_block(b, good);
     const auto awake = [&](std::uint32_t cls) {
@@ -258,7 +274,8 @@ void drive_blocks(const FaultList& faults, const sim::PatternSet& patterns,
         const std::uint64_t observed =
             reached == 0
                 ? 0
-                : propagator.stem_word(run_root, good, point_masks, points);
+                : propagator.stem_word(run_root, good, point_masks, points,
+                                       through_level);
         for (std::size_t i = begin; i < end; ++i) {
           words[i] &= observed;
           consumer.visit(live[i], b, words[i], point_words[lane]);

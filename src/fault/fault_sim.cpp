@@ -219,7 +219,7 @@ std::uint64_t Propagator::site_word(
 std::uint64_t Propagator::stem_word(
     GateId root, const std::vector<std::uint64_t>& good_values,
     const std::vector<std::uint64_t>* point_masks,
-    std::vector<std::uint64_t>* point_words) {
+    std::vector<std::uint64_t>* point_words, std::size_t through_level) {
   check_sync(good_values, "stem_word");
   const CompiledCircuit& c = *compiled_;
   const std::uint64_t* good = good_values.data();
@@ -230,12 +230,13 @@ std::uint64_t Propagator::stem_word(
   // values, gates on it their changed ones. Starting at min(root level,
   // dirty level) also overwrites everything the previous sweep left
   // behind, which is a no-op start when roots arrive sorted by
-  // non-increasing level.
+  // non-increasing level. Every gate a sweep leaves stale sits at or above
+  // the root's level, so the next sweep or sweep_clean reaches it.
   const std::size_t root_level = c.level(root);
   const std::size_t start_level = std::min(root_level, dirty_level_);
   std::uint64_t* work = work_.data();
   work[root] = ~good[root];
-  c.eval_suffix(start_level, work, root);
+  c.eval_suffix(start_level, work, root, through_level);
   dirty_level_ = root_level;
 
   // Observation: untouched points satisfy work == good, so the diff is 0

@@ -52,9 +52,12 @@
 // is neither graded nor dropped, and grading resumes in the block where
 // it wakes. Skipping a step that can only yield 0 cannot change any
 // first_detection, so the result stays bit-identical and there is no knob
-// to turn it off. Full observation builds no wake vector and pays
-// nothing. simulate_serial does not skip: it is the oracle the skip is
-// checked against.
+// to turn it off. In a block where a class is awake, its region's stem
+// sweep stops at the highest level of any point strobed in that block
+// (Propagator::stem_word): no gate above it feeds a compared point.
+// Full observation builds no wake vector, sweeps the whole suffix and
+// pays nothing. simulate_serial does not skip: it is the oracle the skip
+// is checked against.
 #pragma once
 
 #include <cstdint>
@@ -176,10 +179,20 @@ class Propagator {
   /// out-of-order call pays an extra prefix sweep to clear the previous
   /// machine. `point_words` as in detect_word_resim, not narrowed by any
   /// site word. The block driver grades a whole region on one call.
+  ///
+  /// The sweep ends at `through_level` (default: the top level). A caller
+  /// may lower it to the highest level of any observed point whose mask
+  /// is nonzero this block, and must not lower it further: no gate above
+  /// that level feeds a compared point, so the word and the point words
+  /// are unchanged, while the gates above it are left stale until
+  /// begin_block or a sweep that reaches them. Under a strobe schedule
+  /// the block driver passes that level, computed once per block; under
+  /// full observation it sweeps the whole suffix.
   std::uint64_t stem_word(
       circuit::GateId root, const std::vector<std::uint64_t>& good,
       const std::vector<std::uint64_t>* point_masks = nullptr,
-      std::vector<std::uint64_t>* point_words = nullptr);
+      std::vector<std::uint64_t>* point_words = nullptr,
+      std::size_t through_level = circuit::CompiledCircuit::kTopLevel);
 
   /// Two-pattern transition kernel: the detect word of the matching
   /// capture stuck-at fault (suffix resimulation, same contract as

@@ -23,6 +23,21 @@ void PatternSet::append(const std::vector<bool>& pattern) {
   ++pattern_count_;
 }
 
+void PatternSet::append_block(std::span<const std::uint64_t> words,
+                              std::size_t count) {
+  LSIQ_EXPECT(words.size() == input_count_,
+              "append_block: one word per input required");
+  LSIQ_EXPECT(count >= 1 && count <= 64,
+              "append_block: a block holds 1 to 64 patterns");
+  LSIQ_EXPECT(pattern_count_ % 64 == 0,
+              "append_block: the set must hold whole blocks");
+  const std::uint64_t lanes = count == 64 ? ~0ULL : (1ULL << count) - 1;
+  for (std::size_t i = 0; i < input_count_; ++i) {
+    words_[i].push_back(words[i] & lanes);
+  }
+  pattern_count_ += count;
+}
+
 void PatternSet::append_random(std::size_t count, util::Rng& rng) {
   std::vector<bool> p(input_count_);
   for (std::size_t n = 0; n < count; ++n) {

@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -26,6 +27,12 @@ class PatternSet {
 
   /// Append one pattern given as a bit vector over the inputs.
   void append(const std::vector<bool>& pattern);
+
+  /// Append one whole block of `count` patterns (1 to 64) given as one
+  /// word per input, bit p = pattern p of the block. The set must hold a
+  /// multiple of 64 patterns; lanes at and above `count` are dropped, so
+  /// the unused lanes of a partial block stay zero.
+  void append_block(std::span<const std::uint64_t> words, std::size_t count);
 
   /// Append `count` uniform random patterns.
   void append_random(std::size_t count, util::Rng& rng);

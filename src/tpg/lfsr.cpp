@@ -1,5 +1,8 @@
 #include "tpg/lfsr.hpp"
 
+#include <algorithm>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -63,12 +66,18 @@ sim::PatternSet lfsr_patterns(std::size_t input_count, std::size_t count,
   LSIQ_EXPECT(input_count > 0, "lfsr_patterns: input_count must be > 0");
   Lfsr lfsr(width, seed);
   sim::PatternSet patterns(input_count);
-  std::vector<bool> p(input_count);
-  for (std::size_t n = 0; n < count; ++n) {
-    for (std::size_t i = 0; i < input_count; ++i) {
-      p[i] = lfsr.next_bit();
+  // Pattern n takes the next input_count bits, input 0 first; lane p of
+  // a block's word for input i is pattern p's bit i.
+  std::vector<std::uint64_t> words(input_count);
+  for (std::size_t first = 0; first < count; first += 64) {
+    const std::size_t lanes = std::min<std::size_t>(64, count - first);
+    std::fill(words.begin(), words.end(), 0);
+    for (std::size_t p = 0; p < lanes; ++p) {
+      for (std::size_t i = 0; i < input_count; ++i) {
+        words[i] |= static_cast<std::uint64_t>(lfsr.next_bit()) << p;
+      }
     }
-    patterns.append(p);
+    patterns.append_block(words, lanes);
   }
   return patterns;
 }

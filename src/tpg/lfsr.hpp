@@ -51,7 +51,8 @@ class Lfsr {
 };
 
 /// Build a pattern set of `count` patterns over `input_count` inputs by
-/// clocking an LFSR `input_count` bits per pattern (scan-style loading).
+/// clocking an LFSR `input_count` bits per pattern (scan-style loading),
+/// filled one 64-pattern block at a time.
 sim::PatternSet lfsr_patterns(std::size_t input_count, std::size_t count,
                               std::uint64_t seed = 1, int width = 32);
 

@@ -287,6 +287,27 @@ TEST(CompiledCircuit, EvalSuffixRecomputesPollutedSuffix) {
     compiled.eval_suffix(level, polluted.data());
     EXPECT_EQ(polluted, expected) << c.name() << " from level " << level;
   }
+
+  // An upper level recomputes [from, through] and leaves every gate above
+  // it untouched.
+  for (std::size_t from = 0; from <= compiled.depth(); ++from) {
+    for (std::size_t through = 0; through <= compiled.depth() + 1;
+         ++through) {
+      std::vector<std::uint64_t> polluted = expected;
+      for (const GateId id : compiled.eval_order()) {
+        if (compiled.level(id) >= from) polluted[id] ^= 0xdeadbeefULL;
+      }
+      const std::vector<std::uint64_t> before = polluted;
+      compiled.eval_suffix(from, polluted.data(), kNoGate, through);
+      for (const GateId id : compiled.eval_order()) {
+        const bool swept =
+            compiled.level(id) >= from && compiled.level(id) <= through;
+        ASSERT_EQ(polluted[id], swept ? expected[id] : before[id])
+            << "gate " << id << ", levels " << from << " through "
+            << through;
+      }
+    }
+  }
 }
 
 TEST(CompiledCircuit, EvalSuffixSkipPreservesInjectedValue) {

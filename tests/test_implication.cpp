@@ -12,16 +12,19 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
 #include "analyze/implication.hpp"
 #include "analyze/redundancy.hpp"
+#include "circuit/bench_io.hpp"
 #include "circuit/compiled.hpp"
 #include "circuit/generators.hpp"
 #include "circuit/netlist.hpp"
 #include "fault/fault.hpp"
 #include "sim/logic_value.hpp"
+#include "util/hash.hpp"
 
 namespace lsiq::analyze {
 namespace {
@@ -476,6 +479,151 @@ TEST(Implication, LearnedProductsArePinnedOnGeneratorCircuits) {
     EXPECT_EQ(identify_redundancies(engine).sites.size(), row.redundant_sites);
   }
 }
+
+// ---- the prover's whole output, pinned ----
+//
+// The counts above pass under changes that move which lines are constant
+// or which closures hold, as long as the totals agree. These pin every
+// product of the engine and of identify_redundancies per circuit: an
+// FNV-1a digest over every line's constant(), learned_edge_count(), each
+// literal's consistency and, when consistent, its dense propagate()
+// closure (a contradiction's partial state depends only on propagation
+// order, so it is left out), and every RedundantSite. Random DAGs 5 and
+// 12 bake a constant in the first round after learning; on 16 and 168 the
+// one constant learning adds comes from a literal with no learned edge of
+// its own, reached through one in its closure.
+
+struct ProverPin {
+  const char* circuit;
+  std::size_t constant_lines;
+  std::size_t learned_edges;
+  std::size_t redundant_sites;
+  std::uint64_t digest;
+};
+
+// clang-format off
+const ProverPin kProverPins[] = {
+    {"c17", 0, 1, 0, 0x8e02dfcd35497c1fULL},
+    {"mult4", 0, 88, 0, 0x4acd166ec78637c3ULL},
+    {"mult8", 0, 372, 0, 0x7e7d671123fca4a1ULL},
+    {"mult16", 0, 1516, 0, 0x026f603a1afdf4a8ULL},
+    {"alu2", 0, 244, 0, 0xa33c4b50c4dbdd90ULL},
+    {"alu4", 0, 670, 0, 0xe8bd157d1919c9dbULL},
+    {"alu8", 0, 2098, 0, 0x86dee7cc7f79620dULL},
+    {"alu16", 0, 4544, 0, 0xd2b667c07490ca39ULL},
+    {"csa8_4", 3, 92, 10, 0x9b0e420017933c49ULL},
+    {"csa12_4", 6, 172, 20, 0xded7c1f54161e743ULL},
+    {"csa16_4", 9, 252, 30, 0xc37334449b16e61bULL},
+    {"csa32_4", 21, 572, 70, 0xa06bf0f42660f6b4ULL},
+    {"csa16_8", 3, 168, 10, 0x75d43f287a558653ULL},
+    {"rca8", 0, 24, 0, 0x126026ee19c39909ULL},
+    {"rca32", 0, 96, 0, 0x34f6caa243c4289eULL},
+    {"maj5", 0, 0, 0, 0x3c292c68788bc4dbULL},
+    {"parity16", 0, 0, 0, 0xe95a0a97b17a78d7ULL},
+    {"mux4", 0, 0, 0, 0x8f2ee1f8bf122b69ULL},
+    {"dec4", 0, 0, 0, 0xea9651dad27c682bULL},
+    {"cmp8", 0, 354, 0, 0xe212b96e81ce07cfULL},
+    {"acc8", 0, 23, 0, 0xbe6132b4eab3ab4cULL},
+    {"rot8", 0, 0, 0, 0xddc2d87201a00c27ULL},
+    {"lint_demo", 0, 1, 2, 0x72a29944ff56eb8bULL},
+    {"dag1", 13, 468, 298, 0x433d63900eb79082ULL},
+    {"dag2", 18, 318, 423, 0x2f8c8beed09d1aacULL},
+    {"dag3", 21, 322, 310, 0x03c9d838586d6da4ULL},
+    {"dag4", 56, 102, 742, 0xcee1ae26c0bfb7c1ULL},
+    {"dag5", 43, 775, 477, 0xce514bac7f0eb48aULL},
+    {"dag6", 28, 355, 612, 0x0c808e609bb708dfULL},
+    {"dag7", 20, 296, 383, 0x0a14ff9aa8d4346fULL},
+    {"dag8", 34, 719, 657, 0xde8d1c0cbf4250d3ULL},
+    {"dag9", 20, 334, 322, 0x07673c739b713ab1ULL},
+    {"dag10", 20, 228, 849, 0xfc3b47099a0b07eeULL},
+    {"dag11", 35, 372, 537, 0x7c25fb89e7633f6aULL},
+    {"dag12", 39, 557, 419, 0x1fd83392d639c5cfULL},
+    {"dag16", 34, 501, 378, 0x05f0785e05ea2820ULL},
+    {"dag168", 37, 389, 412, 0x0818779318dbcb76ULL},
+};
+// clang-format on
+
+Circuit prover_circuit(std::string_view name) {
+  const std::string_view dag = "dag";
+  if (name.substr(0, dag.size()) == dag) {
+    circuit::RandomDagSpec spec;
+    spec.seed = std::stoull(std::string(name.substr(dag.size())));
+    return circuit::make_random_dag(spec);
+  }
+  if (name == "c17") return circuit::make_c17();
+  if (name == "mult4") return circuit::make_array_multiplier(4);
+  if (name == "mult8") return circuit::make_array_multiplier(8);
+  if (name == "mult16") return circuit::make_array_multiplier(16);
+  if (name == "alu2") return circuit::make_alu(2);
+  if (name == "alu4") return circuit::make_alu(4);
+  if (name == "alu8") return circuit::make_alu(8);
+  if (name == "alu16") return circuit::make_alu(16);
+  if (name == "csa8_4") return circuit::make_carry_select_adder(8, 4);
+  if (name == "csa12_4") return circuit::make_carry_select_adder(12, 4);
+  if (name == "csa16_4") return circuit::make_carry_select_adder(16, 4);
+  if (name == "csa32_4") return circuit::make_carry_select_adder(32, 4);
+  if (name == "csa16_8") return circuit::make_carry_select_adder(16, 8);
+  if (name == "rca8") return circuit::make_ripple_carry_adder(8);
+  if (name == "rca32") return circuit::make_ripple_carry_adder(32);
+  if (name == "maj5") return circuit::make_majority(5);
+  if (name == "parity16") return circuit::make_parity_tree(16);
+  if (name == "mux4") return circuit::make_mux_tree(4);
+  if (name == "dec4") return circuit::make_decoder(4);
+  if (name == "cmp8") return circuit::make_comparator(8);
+  if (name == "acc8") return circuit::make_scan_accumulator(8);
+  if (name == "rot8") return circuit::make_barrel_rotator(8);
+  return circuit::read_bench_file(std::string(LSIQ_SOURCE_DIR) +
+                                  "/tools/specs/lint_demo.bench");
+}
+
+std::uint64_t prover_digest(const ImplicationEngine& engine,
+                            const RedundancyReport& report) {
+  const std::size_t n = engine.compiled().node_count();
+  std::string bytes;
+  for (GateId id = 0; id < n; ++id) {
+    bytes += static_cast<char>(engine.constant(id));
+  }
+  bytes += std::to_string(engine.learned_edge_count()) + '\n';
+  std::vector<Tri> closure;
+  for (Literal lit = 0; lit < 2 * n; ++lit) {
+    const bool consistent = engine.propagate({lit}, closure);
+    bytes += consistent ? '1' : '0';
+    if (!consistent) continue;
+    for (const Tri value : closure) bytes += static_cast<char>(value);
+  }
+  for (const RedundantSite& site : report.sites) {
+    bytes += std::to_string(site.fault.gate) + ' ' +
+             std::to_string(site.fault.pin) + ' ' +
+             (site.fault.stuck_at_one ? '1' : '0') + ' ' +
+             redundancy_reason_name(site.reason) + ' ' +
+             std::to_string(site.witness) + '\n';
+  }
+  return util::fnv1a(bytes);
+}
+
+class ProverGolden : public ::testing::TestWithParam<ProverPin> {};
+
+TEST_P(ProverGolden, PinsConstantsEdgesClosuresAndSites) {
+  const ProverPin& pin = GetParam();
+  const Circuit c = prover_circuit(pin.circuit);
+  const circuit::CompiledCircuit compiled(c);
+  const ImplicationEngine engine(compiled);
+  const RedundancyReport report = identify_redundancies(engine);
+  std::size_t constants = 0;
+  for (GateId id = 0; id < compiled.node_count(); ++id) {
+    constants += engine.constant(id) != LineValue::kUnknown ? 1 : 0;
+  }
+  EXPECT_EQ(constants, pin.constant_lines);
+  EXPECT_EQ(engine.learned_edge_count(), pin.learned_edges);
+  EXPECT_EQ(report.sites.size(), pin.redundant_sites);
+  EXPECT_EQ(prover_digest(engine, report), pin.digest);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Circuits, ProverGolden, ::testing::ValuesIn(kProverPins),
+    [](const ::testing::TestParamInfo<ProverPin>& info) {
+      return std::string(info.param.circuit);
+    });
 
 TEST(Implication, Mult64LearningKeepsOnlyTheLowestLinesOfALongClosure) {
   // The one generator circuit whose learning meets a closure longer than

@@ -77,6 +77,31 @@ TEST(LfsrPatterns, ShapeAndDeterminism) {
   }
 }
 
+TEST(LfsrPatterns, MatchesTheBitSerialStream) {
+  // Pattern n, input i is bit n * input_count + i of the register's own
+  // output stream, across partial and whole blocks and every standard
+  // width.
+  for (const int width : {4, 8, 16, 24, 32, 48, 64}) {
+    for (const std::size_t inputs : {1, 5, 32, 63, 64, 65}) {
+      for (const std::size_t count : {1, 63, 64, 65, 1000}) {
+        const std::uint64_t seed = 0x5EEDULL + inputs;
+        const sim::PatternSet patterns =
+            lfsr_patterns(inputs, count, seed, width);
+        ASSERT_EQ(patterns.size(), count);
+        Lfsr lfsr(width, seed);
+        std::size_t mismatches = 0;
+        for (std::size_t n = 0; n < count; ++n) {
+          for (std::size_t i = 0; i < inputs; ++i) {
+            mismatches += patterns.bit(n, i) != lfsr.next_bit() ? 1 : 0;
+          }
+        }
+        EXPECT_EQ(mismatches, 0u) << "width " << width << ", " << inputs
+                                  << " inputs, " << count << " patterns";
+      }
+    }
+  }
+}
+
 TEST(LfsrPatterns, DifferentSeedsDiffer) {
   const sim::PatternSet a = lfsr_patterns(10, 20, 1);
   const sim::PatternSet b = lfsr_patterns(10, 20, 2);

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -157,6 +160,39 @@ TEST(PatternSet, AppendAllConcatenates) {
   ASSERT_EQ(a.size(), 3u);
   EXPECT_EQ(a.pattern(1), (std::vector<bool>{false, true}));
   EXPECT_EQ(a.pattern(2), (std::vector<bool>{true, true}));
+}
+
+TEST(PatternSet, AppendBlockMatchesPatternByPatternAppend) {
+  util::Rng rng(23);
+  PatternSet blocks(3);
+  PatternSet serial(3);
+  for (const std::size_t count : {64, 64, 17}) {
+    std::vector<std::uint64_t> words(3);
+    for (std::uint64_t& word : words) word = rng.next_u64();
+    blocks.append_block(words, count);
+    for (std::size_t p = 0; p < count; ++p) {
+      std::vector<bool> pattern(3);
+      for (std::size_t i = 0; i < 3; ++i) pattern[i] = (words[i] >> p) & 1;
+      serial.append(pattern);
+    }
+  }
+  EXPECT_EQ(blocks, serial);  // lanes 17..63 of the last block stay zero
+  EXPECT_EQ(blocks.size(), 145u);
+  EXPECT_EQ(blocks.block_word(0, 2) >> 17, 0u);
+}
+
+TEST(PatternSet, AppendBlockNeedsWholeBlocksAndOneWordPerInput) {
+  PatternSet p(2);
+  const std::vector<std::uint64_t> words = {~0ULL, 0};
+  EXPECT_THROW(p.append_block(std::vector<std::uint64_t>{1}, 64),
+               ContractViolation);
+  EXPECT_THROW(p.append_block(words, 0), ContractViolation);
+  EXPECT_THROW(p.append_block(words, 65), ContractViolation);
+  p.append_block(words, 10);
+  EXPECT_THROW(p.append_block(words, 64), ContractViolation);
+  p.append({true, true});
+  EXPECT_EQ(p.size(), 11u);
+  EXPECT_EQ(p.block_word(0, 0), (1ULL << 11) - 1);
 }
 
 TEST(PatternSet, ContractViolations) {
