@@ -52,10 +52,10 @@ struct BistConfig {
   /// Grading lanes of the block driver (fault/block_driver.hpp),
   /// following the shared util::resolve_worker_count convention: 0 = one
   /// per hardware thread, n = exactly n. One lane grades on the calling
-  /// thread; more run on a util::ThreadPool built for the run. Every
-  /// value produces bit-identical results (each fault class's state is
-  /// written only by the lane visiting it; nothing is reduced across
-  /// lanes).
+  /// thread; more share it with the process's one pool (util::run_lanes),
+  /// so a session builds no threads of its own. Every value produces
+  /// bit-identical results (each fault class's state is written only by
+  /// the lane visiting it; nothing is reduced across lanes).
   std::size_t num_threads = 1;
 
   /// When non-null, a compiled view of the session's circuit to share

@@ -22,14 +22,13 @@
 // stem. Under a non-full schedule every sweep of a block ends at the
 // highest level of any point strobed in it, found once per block. Each
 // lane owns a Propagator synced to the block and takes a strided share
-// of the regions; one lane runs inline on the calling thread, more run
-// on a pool built for the call.
+// of the regions; each block's lanes run in one util::run_lanes call, on
+// the calling thread and the process's shared pool.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "circuit/compiled.hpp"
@@ -107,9 +106,10 @@ struct BlockConsumer {
 
 /// Drive classes [class_begin, class_end) of `faults` over every block of
 /// `patterns` through `consumer`, on util::resolve_worker_count(num_threads)
-/// lanes. `schedule`, when given, must cover every observed point;
-/// `compiled` must be a non-null compiled view of faults.circuit(). A
-/// dropping consumer stops once every class has dropped.
+/// lanes, one util::run_lanes call per block. `schedule`, when given,
+/// must cover every observed point; `compiled` must be a non-null
+/// compiled view of faults.circuit(). A dropping consumer stops once
+/// every class has dropped.
 template <class Consumer>
 void drive_blocks(const FaultList& faults, const sim::PatternSet& patterns,
                   const StrobeSchedule* schedule,
@@ -195,8 +195,6 @@ void drive_blocks(const FaultList& faults, const sim::PatternSet& patterns,
     propagators.emplace_back(compiled);
   }
   std::vector<std::vector<std::uint64_t>> point_words(lanes);
-  std::optional<util::ThreadPool> pool;
-  if (lanes > 1) pool.emplace(lanes);
 
   for (std::size_t b = 0; b < patterns.block_count(); ++b) {
     if (Consumer::kDrops && live.empty()) break;
@@ -282,11 +280,7 @@ void drive_blocks(const FaultList& faults, const sim::PatternSet& patterns,
         }
       }
     };
-    if (pool.has_value()) {
-      pool->run(lane_body);
-    } else {
-      lane_body(0);
-    }
+    util::run_lanes(lanes, lane_body);
 
     if (Consumer::kDrops) {
       std::size_t kept = 0;

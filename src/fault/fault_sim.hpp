@@ -28,12 +28,13 @@
 //     the compiled netlist (circuit/compiled.hpp), not the
 //     pointer-per-pin Circuit container.
 //
-//   * simulate_ppsfp_mt — the same computation fanned out over a worker
-//     pool built for the grade: each thread owns a Propagator and grades a
-//     strided share of the regions per block (stride keeps the per-lane
-//     work balanced, since per-region cost varies with root level).
-//     Per-fault detect words do not depend on evaluation order, so the
-//     result is bit-identical to simulate_ppsfp.
+//   * simulate_ppsfp_mt — the same computation fanned out over lanes
+//     (util::run_lanes, on the calling thread and the process's one
+//     shared pool): each lane owns a Propagator and grades a strided
+//     share of the regions per block (stride keeps the per-lane work
+//     balanced, since per-region cost varies with root level). Per-fault
+//     detect words do not depend on evaluation order, so the result is
+//     bit-identical to simulate_ppsfp.
 //
 // Both PPSFP engines run on the one block driver (fault/block_driver.hpp),
 // which the fault dictionary, transition compaction and BIST signature
@@ -271,10 +272,11 @@ FaultSimResult simulate_ppsfp(
     std::size_t width = 1);
 
 /// Multi-threaded PPSFP: per block, the live-fault list is partitioned
-/// across `num_threads` workers (resolved by util::resolve_worker_count;
-/// 0 = one per hardware thread), each with its own Propagator; fault
-/// dropping compacts the list after every block. Bit-identical to
-/// simulate_ppsfp and simulate_serial. `compiled` as in simulate_ppsfp.
+/// across `num_threads` lanes (resolved by util::resolve_worker_count;
+/// 0 = one per hardware thread), each with its own Propagator and run by
+/// util::run_lanes on the process's shared pool; fault dropping compacts
+/// the list after every block. Bit-identical to simulate_ppsfp and
+/// simulate_serial. `compiled` as in simulate_ppsfp.
 FaultSimResult simulate_ppsfp_mt(
     const FaultList& faults, const sim::PatternSet& patterns,
     const StrobeSchedule* schedule = nullptr, std::size_t num_threads = 0,
@@ -288,8 +290,9 @@ FaultSimResult simulate_ppsfp_mt(
 /// and hold -1 for every class not yet graded; no other entry is touched.
 /// `compiled` must be a non-null view of faults.circuit().
 /// The range grades on util::resolve_worker_count(num_threads) lanes of
-/// the block driver (fault/block_driver.hpp): one lane runs on the calling
-/// thread, more on a worker pool built for the call. The bits written are
+/// the block driver (fault/block_driver.hpp), one util::run_lanes call
+/// per block: one lane runs on the calling thread, more share it with the
+/// process's one pool, so a call builds no threads. The bits written are
 /// identical for every lane count and every range split — per-class
 /// detect words are pure functions of the patterns. The driver builds the
 /// wake vector of a non-full schedule and skips sleeping classes (see the

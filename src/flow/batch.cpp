@@ -32,6 +32,15 @@ std::string format_hash(std::uint64_t hash) {
   return text;
 }
 
+/// The whole file, or nullopt when it cannot be opened.
+std::optional<std::string> read_file(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) return std::nullopt;
+  std::ostringstream bytes;
+  bytes << in.rdbuf();
+  return bytes.str();
+}
+
 /// Bound a failure message: long enough for every real diagnostic in the
 /// library, short enough that one pathological what() cannot bloat the
 /// store.
@@ -114,11 +123,34 @@ void run_spec_once(const std::string& path, ArtifactCache& cache,
 // ---- spec-content hashing (checkpoint staleness detection) ----
 
 std::uint64_t hash_spec_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return 0;
-  std::ostringstream bytes;
-  bytes << in.rdbuf();
-  return util::fnv1a(bytes.str());
+  const std::optional<std::string> bytes = read_file(path);
+  if (!bytes.has_value()) return 0;
+  std::uint64_t hash = util::fnv1a(*bytes);
+  SpecFile file;
+  try {
+    file = read_spec_string(*bytes);
+  } catch (const std::exception&) {
+    return hash;
+  }
+  // Each file is folded in behind its length, so bytes moved from one
+  // file into the next do not hash alike.
+  const auto fold = [&](const std::string& content) {
+    hash = util::fnv1a(std::to_string(content.size()) + '\n', hash);
+    hash = util::fnv1a(content, hash);
+  };
+  try {
+    const CircuitSource circuit = resolve_circuit(file.circuit);
+    if (circuit.bench_text.has_value()) fold(*circuit.bench_text);
+  } catch (const IoError&) {
+    return 0;
+  }
+  if (file.spec.source.kind == "file") {
+    const std::optional<std::string> patterns =
+        read_file(file.spec.source.file);
+    if (!patterns.has_value()) return 0;
+    fold(*patterns);
+  }
+  return hash;
 }
 
 bool resumable(const BatchRecord& record, const std::string& path) {
@@ -132,10 +164,10 @@ int RetryPolicy::backoff_ms(int attempt) const {
   if (backoff_initial_ms <= 0) return 0;
   double delay = backoff_initial_ms;
   for (int k = 1; k < attempt; ++k) {
-    delay *= backoff_multiplier;
-    if (delay >= backoff_max_ms) break;
+    delay *= kBackoffMultiplier;
+    if (delay >= kBackoffMaxMs) break;
   }
-  return static_cast<int>(std::min<double>(delay, backoff_max_ms));
+  return static_cast<int>(std::min<double>(delay, kBackoffMaxMs));
 }
 
 // ---- BatchRecord ----
@@ -427,22 +459,23 @@ BatchResult run_batch(const std::vector<std::string>& specs,
     // written to its manifest slot, so result order is independent of
     // scheduling. Spec failures are records (run_spec_with_retry never
     // throws); anything escaping a lane — a checkpoint-write IoError, an
-    // armed "batch.record" failpoint — aborts the batch via the pool's
+    // armed "batch.record" failpoint — aborts the batch via run_lanes'
     // first-exception rethrow, leaving the store a valid prefix.
-    util::ThreadPool pool(
-        std::min(util::resolve_worker_count(options.num_workers), pending));
     std::atomic<std::size_t> next{0};
-    pool.run([&](std::size_t) {
-      while (true) {
-        const std::size_t i = next.fetch_add(1);
-        if (i >= specs.size()) return;
-        if (done[i] != 0) continue;
-        BatchRecord record = run_spec_with_retry(specs[i], cache, options);
-        LSIQ_FAILPOINT("batch.record");
-        store.append(record);
-        result.records[i] = std::move(record);
-      }
-    });
+    util::run_lanes(
+        std::min(util::resolve_worker_count(options.num_workers), pending),
+        [&](std::size_t) {
+          while (true) {
+            const std::size_t i = next.fetch_add(1);
+            if (i >= specs.size()) return;
+            if (done[i] != 0) continue;
+            BatchRecord record =
+                run_spec_with_retry(specs[i], cache, options);
+            LSIQ_FAILPOINT("batch.record");
+            store.append(record);
+            result.records[i] = std::move(record);
+          }
+        });
   }
 
   for (const BatchRecord& record : result.records) {

@@ -4,9 +4,11 @@
 // `lsiq_flow` runs exactly one spec; a coverage campaign (a fault-model
 // sweep, a MISR width study, a pattern-source shoot-out) is hundreds. This
 // module turns a MANIFEST — a directory of .spec files or a list file —
-// into a result set, executing specs concurrently on the shared
-// util::ThreadPool and streaming one JSON-lines record per spec to a
-// result store that doubles as a checkpoint.
+// into a result set, executing specs concurrently on util::run_lanes and
+// streaming one JSON-lines record per spec to a result store that doubles
+// as a checkpoint. A spec that grades on `threads` lanes nests its lanes
+// in its batch lane's; both share the process's one pool, so a batch
+// never runs more threads at once than the hardware has.
 //
 // Robustness is the contract, in five layers:
 //
@@ -24,8 +26,9 @@
 //     it every 64-pattern block, so a wedged run ends as a structured
 //     `deadline` record instead of hanging the batch.
 //   * Checkpoint / resume — the JSONL store is re-read on the next run of
-//     the same manifest: records marked "ok" whose spec file is unchanged
-//     (content hash) are carried over, failures are re-attempted, and a
+//     the same manifest: records marked "ok" whose inputs are unchanged
+//     (a content hash of the spec file, of the .bench it names and of its
+//     pattern file) are carried over, failures are re-attempted, and a
 //     torn trailing line (killed mid-write) is tolerated. A killed batch
 //     resumed from its checkpoint converges to the same canonical result
 //     set as an uninterrupted run.
@@ -66,11 +69,11 @@ struct RetryPolicy {
   /// Total tries per spec, first attempt included. 1 = never retry.
   int max_attempts = 3;
   /// Delay before retry k (1-based) is
-  /// min(backoff_initial_ms * multiplier^(k-1), backoff_max_ms).
+  /// min(backoff_initial_ms * kBackoffMultiplier^(k-1), kBackoffMaxMs).
   /// 0 disables sleeping (deterministic tests).
   int backoff_initial_ms = 100;
-  double backoff_multiplier = 4.0;
-  int backoff_max_ms = 2000;
+  static constexpr double kBackoffMultiplier = 4.0;
+  static constexpr int kBackoffMaxMs = 2000;
 
   /// The delay (ms) to sleep after failed attempt `attempt` (1-based).
   [[nodiscard]] int backoff_ms(int attempt) const;
@@ -79,9 +82,9 @@ struct RetryPolicy {
 /// Everything run_batch needs besides the spec list.
 struct BatchOptions {
   /// Concurrent spec runners (util::resolve_worker_count convention:
-  /// 0 = one per hardware thread). Specs are independent; each grades on
-  /// its own `threads` lanes, so a batch of specs that say `threads = 0`
-  /// (all cores) usually wants a small worker count here.
+  /// 0 = one per hardware thread), run as util::run_lanes lanes. Specs
+  /// are independent; each grades on its own `threads` lanes, nested in
+  /// its runner's, and all of them share the process's one pool.
   std::size_t num_workers = 0;
 
   RetryPolicy retry;
@@ -94,8 +97,8 @@ struct BatchOptions {
   /// results in memory only (no resume).
   std::string checkpoint;
 
-  /// Re-use "ok" records from an existing checkpoint whose spec file
-  /// content hash still matches; false reruns everything.
+  /// Re-use "ok" records from an existing checkpoint whose content hash
+  /// (hash_spec_file) still matches; false reruns everything.
   bool resume = true;
 
   /// Live JSONL stream (the CLI passes stdout); records are written in
@@ -123,7 +126,7 @@ struct BatchOptions {
 /// One spec's outcome — one JSONL line in the result store.
 struct BatchRecord {
   std::string spec;          ///< path as listed in the manifest
-  std::uint64_t hash = 0;    ///< FNV-1a of the spec file bytes (0: unread)
+  std::uint64_t hash = 0;    ///< hash_spec_file of the spec (0: unread)
   std::string status;        ///< "ok" | "failed"
   ErrorCode error_code = ErrorCode::kOk;
   bool transient = false;    ///< is_transient(error_code)
@@ -183,8 +186,12 @@ class ResultStore {
 /// empty map (first run).
 std::map<std::string, BatchRecord> load_result_store(const std::string& path);
 
-/// FNV-1a over the spec file's bytes; 0 when the file cannot be read (a
-/// record hashed 0 is never treated as resumable).
+/// FNV-1a over the bytes of the spec file and of every file a run of it
+/// reads: the .bench its `circuit` names (read as resolve_circuit reads
+/// it) and, for `source = file`, its `pattern_file`. A spec that names
+/// only a generator, or that fails to parse (its run can only fail),
+/// hashes its own bytes alone. 0 when the spec or a file it names cannot
+/// be read (a record hashed 0 is never treated as resumable).
 std::uint64_t hash_spec_file(const std::string& path);
 
 /// The one resume rule of run_batch and the flow service: a stored
@@ -195,7 +202,7 @@ bool resumable(const BatchRecord& record, const std::string& path);
 /// The crash-isolation + retry boundary around ONE spec: run it under the
 /// options' deadline, retry transient failures per options.retry, and
 /// NEVER throw — every failure becomes a structured record. This is the
-/// shared unit of work of run_batch and the flow service's worker lanes.
+/// shared unit of work of run_batch and the flow service's job lanes.
 BatchRecord run_spec_with_retry(const std::string& path, ArtifactCache& cache,
                                 const BatchOptions& options);
 

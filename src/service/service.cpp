@@ -7,6 +7,7 @@
 
 #include "util/deadline.hpp"
 #include "util/failpoint.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lsiq::service {
 
@@ -40,9 +41,7 @@ const char* job_state_name(JobState state) noexcept {
 }
 
 FlowService::FlowService(ServiceOptions options)
-    : options_(std::move(options)),
-      cache_(options_.cache_max_cost),
-      pool_(util::resolve_worker_count(options_.num_workers)) {
+    : options_(std::move(options)), cache_(options_.cache_max_cost) {
   if (!options_.store_path.empty()) {
     if (options_.resume) {
       resume_records_ = flow::load_result_store(options_.store_path);
@@ -50,16 +49,20 @@ FlowService::FlowService(ServiceOptions options)
     store_ = std::make_unique<flow::ResultStore>(
         options_.store_path, nullptr, flow::ResultStore::Mode::kAppend);
   }
-  pump_ = std::thread([this] {
-    try {
-      pool_.run([this](std::size_t lane) { worker_loop(lane); });
-    } catch (const std::exception& e) {
-      // Lanes are designed not to throw; a stray exception here means a
-      // store write failed after retries. The daemon stays up — jobs it
-      // can still serve, it should.
-      std::cerr << "lsiq_flowd: worker pool error: " << e.what() << "\n";
-    }
-  });
+  const std::size_t lanes = util::resolve_worker_count(options_.num_workers);
+  lanes_.reserve(lanes);
+  for (std::size_t lane = 0; lane < lanes; ++lane) {
+    lanes_.emplace_back([this] {
+      try {
+        worker_loop();
+      } catch (const std::exception& e) {
+        // Lanes are designed not to throw; a stray exception here ends
+        // this lane only. The daemon stays up — jobs the other lanes can
+        // still serve, they should.
+        std::cerr << "lsiq_flowd: job lane error: " << e.what() << "\n";
+      }
+    });
+  }
 }
 
 FlowService::~FlowService() { shutdown(); }
@@ -262,7 +265,9 @@ void FlowService::shutdown() {
     stopping_ = true;
     work_ready_.notify_all();
   }
-  if (pump_.joinable()) pump_.join();
+  for (std::thread& lane : lanes_) {
+    if (lane.joinable()) lane.join();
+  }
 }
 
 bool FlowService::draining() const {
@@ -270,7 +275,7 @@ bool FlowService::draining() const {
   return draining_ || stopping_;
 }
 
-void FlowService::worker_loop(std::size_t /*lane*/) {
+void FlowService::worker_loop() {
   while (true) {
     std::unique_lock<std::mutex> lock(mutex_);
     work_ready_.wait(lock, [&] { return stopping_ || !queue_.empty(); });

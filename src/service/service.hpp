@@ -2,10 +2,13 @@
 //
 // FlowService is the whole daemon minus the socket: an async job queue in
 // front of the same per-spec unit of work the batch runner uses
-// (flow::run_spec_with_retry), executed by worker lanes on a
-// util::ThreadPool. Transport (src/service/server.hpp) is a thin layer on
-// top, so every queue/cancel/evict behavior is testable in-process
-// without a socket.
+// (flow::run_spec_with_retry), executed by N job lanes. A job lane is a
+// plain thread that loops over the queue for the service's lifetime, not
+// a share of finite work; each job grades on its spec's `threads` lanes
+// through util::run_lanes, so the daemon runs its job lanes plus the
+// process's one shared pool. Transport (src/service/server.hpp) is a thin
+// layer on top, so every queue/cancel/evict behavior is testable
+// in-process without a socket.
 //
 // The contracts, in the order they bite:
 //
@@ -35,7 +38,9 @@
 //     journal that survives daemon restarts; readers apply
 //     last-record-per-spec). On submit, an unchanged-ok record from the
 //     store satisfies the job instantly (resumed=true) — the daemon
-//     equivalent of batch --resume.
+//     equivalent of batch --resume, through the same flow::resumable
+//     rule, so a .bench or pattern file edited under an unchanged spec
+//     runs the job again.
 //   * Bounded memory — the shared ArtifactCache is cost-bounded
 //     (cache_max_cost) so a daemon that has seen thousands of products
 //     holds only the hot set; stats() exposes hits/misses/evictions, the
@@ -57,13 +62,12 @@
 #include <vector>
 
 #include "flow/batch.hpp"
-#include "util/thread_pool.hpp"
 
 namespace lsiq::service {
 
 struct ServiceOptions {
-  /// Worker lanes (util::resolve_worker_count convention; 0 = one per
-  /// hardware thread). Each lane runs one job at a time.
+  /// Job lanes (util::resolve_worker_count convention; 0 = one per
+  /// hardware thread), each a thread that runs one job at a time.
   std::size_t num_workers = 2;
 
   /// Admission bound: maximum QUEUED (not yet running) jobs. A submit
@@ -168,7 +172,7 @@ class FlowService {
   void drain();
 
   /// Stop admission, cancel every queued job (immediate kCancelled
-  /// records), flag every running job, and join the worker lanes.
+  /// records), flag every running job, and join the job lanes.
   /// Idempotent.
   void shutdown();
 
@@ -197,7 +201,7 @@ class FlowService {
 
   [[nodiscard]] JobInfo snapshot_locked(const Job& job) const;
 
-  void worker_loop(std::size_t lane);
+  void worker_loop();
 
   ServiceOptions options_;
   flow::ArtifactCache cache_;
@@ -223,11 +227,9 @@ class FlowService {
   std::size_t rejected_ = 0;
   std::size_t resumed_ = 0;
 
-  /// The lanes. A dedicated pump thread hosts ThreadPool::run (which
-  /// blocks until every lane returns); lanes exit when stopping_ is set
-  /// and the queue is empty.
-  util::ThreadPool pool_;
-  std::thread pump_;
+  /// The job lanes; each exits when stopping_ is set and the queue is
+  /// empty.
+  std::vector<std::thread> lanes_;
 };
 
 }  // namespace lsiq::service

@@ -18,7 +18,7 @@
 // std::atomic<bool> flag, and the same poll that checks the clock checks
 // every flag on the scope stack — when one is set the poll throws
 // CancelledError (ErrorCode::kCancelled). This is how the flow service
-// (src/service/) cancels a RUNNING job: the worker lane installs a
+// (src/service/) cancels a RUNNING job: the job lane installs a
 // CancelScope around the whole attempt loop, a `cancel` request flips the
 // job's flag, and the run unwinds at its next checkpoint through the same
 // structured error path a deadline overrun takes.

@@ -29,7 +29,7 @@
 // materialization), "flow.grade" (before grading), "batch.record"
 // (before a batch result record is committed), "service.accept" (a flow
 // service connection was accepted; injected errors drop the connection)
-// and "service.job" (a flow service worker lane picked up a job; injected
+// and "service.job" (a flow service job lane picked up a job; injected
 // errors become structured failure records).
 #pragma once
 

@@ -1,64 +1,51 @@
-// A persistent worker pool for data-parallel simulation loops.
+// The one worker pool of the process, and the lanes that run on it.
 //
-// The multi-threaded fault simulator dispatches one job per block of
-// patterns; spawning threads per block would dominate the work at small
-// block counts, so the pool keeps its workers alive across jobs and wakes
-// them with a generation counter. Jobs are "lane" shaped: run(fn) executes
-// fn(lane) once per worker, and the caller blocks until every lane has
-// finished. Partitioning work across lanes is the caller's business — the
-// fault simulator gives each lane a strided slice of the live-fault list
-// (and its own propagator, so lanes never share mutable state).
+// Data-parallel loops here are "lane" shaped: run_lanes(n, fn) executes
+// fn(lane) once for every lane in [0, n) and returns when all n have run.
+// Partitioning work across lanes is the caller's business — the block
+// driver gives each lane a strided share of the regions of a block (and
+// its own propagator, so lanes never share mutable state), the batch
+// runner's lanes claim spec indices from a shared counter.
+//
+// A lane is a share of the caller's work, not a thread. Behind every call
+// stands one process-wide pool of hardware threads - 1 workers, started
+// the first time a call asks for more than one lane:
+//
+//   * The calling thread runs the unclaimed lanes of its own call. It
+//     never takes another call's lanes, so whatever the caller installed
+//     on its thread (a per-spec util::DeadlineScope, a service job's
+//     util::CancelScope) never rides into someone else's work.
+//   * Any idle worker takes any unclaimed lane, oldest call first.
+//   * A lane may itself call run_lanes (a batch lane grading its spec on
+//     `threads` lanes). The nested call cannot deadlock, since its caller
+//     can run every lane of it alone, and it adds no threads.
+//
+// So lanes run on at most the pool's workers plus the threads that call
+// run_lanes from outside it: resolve_worker_count(0) threads in a batch
+// or a one-shot run, whose one outside caller is the main thread, and a
+// daemon's job lanes plus the workers. Results never depend on which
+// thread runs which lane.
 #pragma once
 
-#include <condition_variable>
-#include <cstdint>
-#include <exception>
+#include <cstddef>
 #include <functional>
-#include <mutex>
-#include <thread>
-#include <vector>
 
 namespace lsiq::util {
 
 /// The one place the shared worker-count convention is resolved:
 /// 0 = one worker per hardware thread (at least 1), n = exactly n workers.
-/// Every knob that documents that convention (ThreadPool's constructor,
-/// fault::simulate_ppsfp_mt, bist::BistConfig::num_threads, and the
-/// spec's one lane knob flow::EngineSpec::num_threads, `threads` in a
-/// spec file) resolves through this function, so "0 means all cores"
-/// cannot drift between subsystems.
+/// Every knob that documents that convention (run_lanes,
+/// fault::simulate_ppsfp_mt, bist::BistConfig::num_threads, the spec's
+/// one lane knob flow::EngineSpec::num_threads, `threads` in a spec file,
+/// and the batch and daemon `--jobs`) resolves through this function, so
+/// "0 means all cores" cannot drift between subsystems.
 [[nodiscard]] std::size_t resolve_worker_count(std::size_t requested) noexcept;
 
-class ThreadPool {
- public:
-  /// Start `thread_count` workers; 0 means std::thread::hardware_concurrency
-  /// (at least 1).
-  explicit ThreadPool(std::size_t thread_count = 0);
-  ~ThreadPool();
-
-  ThreadPool(const ThreadPool&) = delete;
-  ThreadPool& operator=(const ThreadPool&) = delete;
-
-  /// Number of worker lanes.
-  [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
-
-  /// Execute fn(lane) on every worker, lane in [0, size()), and wait for all
-  /// of them. The first exception a lane throws is rethrown here after the
-  /// job completes.
-  void run(const std::function<void(std::size_t)>& fn);
-
- private:
-  void worker_loop(std::size_t lane);
-
-  std::mutex mutex_;
-  std::condition_variable work_ready_;
-  std::condition_variable job_done_;
-  std::vector<std::thread> workers_;
-  const std::function<void(std::size_t)>* job_ = nullptr;
-  std::uint64_t generation_ = 0;
-  std::size_t remaining_ = 0;
-  std::exception_ptr first_error_;
-  bool stopping_ = false;
-};
+/// Run fn(lane) once for every lane in [0, resolve_worker_count(lanes))
+/// and return when every lane has finished. One lane runs inline on the
+/// calling thread; more share it with the process-wide pool (see the file
+/// comment). When lanes throw, every lane still runs, and the first
+/// exception is rethrown here.
+void run_lanes(std::size_t lanes, const std::function<void(std::size_t)>& fn);
 
 }  // namespace lsiq::util

@@ -6,16 +6,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <bit>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
+#include "util/hash.hpp"
+#include "util/thread_pool.hpp"
 
 namespace lsiq::flow {
 namespace {
@@ -399,8 +404,6 @@ TEST_F(BatchTest, PermanentFailuresNeverRetry) {
 TEST_F(BatchTest, BackoffScheduleIsExponentialAndCapped) {
   RetryPolicy retry;
   retry.backoff_initial_ms = 100;
-  retry.backoff_multiplier = 4.0;
-  retry.backoff_max_ms = 2000;
   EXPECT_EQ(retry.backoff_ms(1), 100);
   EXPECT_EQ(retry.backoff_ms(2), 400);
   EXPECT_EQ(retry.backoff_ms(3), 1600);
@@ -539,6 +542,98 @@ TEST_F(BatchTest, EditedSpecInvalidatesItsCheckpointRecord) {
   EXPECT_EQ(second.resumed_count, 0u);
   EXPECT_EQ(second.ok_count, 1u);
   EXPECT_EQ(second.records[0].patterns, 32u);
+}
+
+TEST_F(BatchTest, EditedBenchForcesARerun) {
+  // The record keys on the netlist the spec reads, not only on the spec's
+  // own bytes: rewriting the .bench under an unchanged spec reruns it.
+  const fs::path bench = dir_ / "product.bench";
+  const auto write_bench = [&](const std::string& text) {
+    std::ofstream out(bench, std::ios::trunc);
+    out << text;
+  };
+  write_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n");
+  const std::string spec = write_spec(
+      "product.spec", "circuit = " + bench.string() +
+                          "\nsource = lfsr\npatterns = 16\nobserve = full\n"
+                          "engine = ppsfp\n");
+  BatchOptions options = fast_options();
+  options.checkpoint = checkpoint_path();
+  const BatchResult first = run_batch({spec}, options);
+  ASSERT_EQ(first.ok_count, 1u) << first.records[0].error;
+  EXPECT_EQ(first.records[0].classes, 4u);
+
+  write_bench(
+      "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
+      "t = NAND(a, b)\ny = OR(t, c)\nz = XOR(a, c)\n");
+  const BatchResult second = run_batch({spec}, options);
+  EXPECT_EQ(second.resumed_count, 0u);
+  ASSERT_EQ(second.ok_count, 1u) << second.records[0].error;
+  EXPECT_EQ(second.records[0].classes, 16u);
+}
+
+TEST_F(BatchTest, EditedPatternFileForcesARerun) {
+  const fs::path patterns = dir_ / "program.pat";
+  const auto write_patterns = [&](const std::string& rows) {
+    std::ofstream out(patterns, std::ios::trunc);
+    out << "# lsiq patterns inputs=5\n" << rows;
+  };
+  write_patterns("01101\n11100\n");
+  const std::string spec = write_spec(
+      "file.spec", "circuit = c17\nsource = file\npattern_file = " +
+                       patterns.string() +
+                       "\nobserve = full\nengine = ppsfp\n");
+  BatchOptions options = fast_options();
+  options.checkpoint = checkpoint_path();
+  const BatchResult first = run_batch({spec}, options);
+  ASSERT_EQ(first.ok_count, 1u) << first.records[0].error;
+  EXPECT_EQ(first.records[0].patterns, 2u);
+
+  write_patterns("01101\n11100\n00011\n");
+  const BatchResult second = run_batch({spec}, options);
+  EXPECT_EQ(second.resumed_count, 0u);
+  ASSERT_EQ(second.ok_count, 1u) << second.records[0].error;
+  EXPECT_EQ(second.records[0].patterns, 3u);
+}
+
+TEST_F(BatchTest, UnchangedInputsStillResume) {
+  const fs::path bench = dir_ / "product.bench";
+  const fs::path patterns = dir_ / "program.pat";
+  {
+    std::ofstream out(bench);
+    out << "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n";
+  }
+  {
+    std::ofstream out(patterns);
+    out << "# lsiq patterns inputs=2\n01\n11\n";
+  }
+  const std::string spec = write_spec(
+      "product.spec", "circuit = " + bench.string() +
+                          "\nsource = file\npattern_file = " +
+                          patterns.string() +
+                          "\nobserve = full\nengine = ppsfp\n");
+  BatchOptions options = fast_options();
+  options.checkpoint = checkpoint_path();
+  const BatchResult first = run_batch({spec}, options);
+  ASSERT_EQ(first.ok_count, 1u) << first.records[0].error;
+  const BatchResult second = run_batch({spec}, options);
+  EXPECT_EQ(second.resumed_count, 1u);
+  EXPECT_EQ(second.canonical(), first.canonical());
+}
+
+TEST_F(BatchTest, SpecsThatReadNoFileHashTheirOwnBytes) {
+  // A generator spec, and a spec that fails to parse, keep the hash of
+  // their own bytes, so records of such specs stay resumable across the
+  // change that folded the files a spec reads into its hash.
+  const std::string unparsable = "circuit = c17\nno_such_key = 1\n";
+  EXPECT_EQ(hash_spec_file(write_spec("gen.spec")), util::fnv1a(kGoodSpec));
+  EXPECT_EQ(hash_spec_file(write_spec("bad.spec", unparsable)),
+            util::fnv1a(unparsable));
+  // A spec that names a file it cannot read is never resumable.
+  EXPECT_EQ(hash_spec_file(write_spec(
+                "missing.spec",
+                "circuit = " + (dir_ / "missing.bench").string() + "\n")),
+            0u);
 }
 
 TEST_F(BatchTest, NoResumeRerunsEverything) {
@@ -748,6 +843,52 @@ TEST_F(BatchTest, CheckOnlyLintsWithoutGrading) {
   ASSERT_EQ(graded.records.size(), 1u);
   EXPECT_EQ(graded.records[0].status, "ok");
   EXPECT_EQ(graded.records[0].patterns, 64u);
+}
+
+TEST_F(BatchTest, TwoLaneBatchOfAllCoreSpecsStaysWithinTheHardware) {
+  // Two batch lanes whose specs each grade on every core (`threads = 0`,
+  // as every committed sweep spec says) share the process's one pool, so
+  // the batch never runs more threads at once than the hardware has. A
+  // sampler thread counts this process's threads throughout; its first
+  // reading (itself, the caller, any thread already running) is the
+  // baseline.
+  const fs::path tasks("/proc/self/task");
+  if (!fs::is_directory(tasks)) GTEST_SKIP() << "no /proc/self/task";
+  const auto thread_count = [&] {
+    std::size_t count = 0;
+    for ([[maybe_unused]] const fs::directory_entry& entry :
+         fs::directory_iterator(tasks)) {
+      ++count;
+    }
+    return count;
+  };
+  std::vector<std::string> specs;
+  for (int i = 1; i <= 4; ++i) {
+    specs.push_back(write_spec(
+        "s" + std::to_string(i) + ".spec",
+        "circuit = mult16\nsource = lfsr\npatterns = 512\nlfsr_seed = " +
+            std::to_string(i) +
+            "\nobserve = progressive\nstrobe_step = 24\nengine = ppsfp\n"
+            "threads = 0\n"));
+  }
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> baseline{0};
+  std::size_t peak = 0;
+  std::thread sampler([&] {
+    std::size_t high = thread_count();
+    baseline = high;
+    while (!stop) high = std::max(high, thread_count());
+    peak = high;
+  });
+  while (baseline == 0) std::this_thread::yield();
+  const BatchResult result = run_batch(specs, fast_options());
+  stop = true;
+  sampler.join();
+  EXPECT_TRUE(result.all_ok());
+  // The threads that ran lanes: the caller plus every thread started
+  // during the batch.
+  EXPECT_LE(peak - baseline + 1, util::resolve_worker_count(0))
+      << "peak " << peak << ", baseline " << baseline;
 }
 
 TEST_F(BatchTest, ConcurrencyDoesNotChangeResults) {

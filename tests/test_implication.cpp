@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <ostream>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -500,6 +501,10 @@ struct ProverPin {
   std::size_t redundant_sites;
   std::uint64_t digest;
 };
+
+// Without this GoogleTest prints a pin as its raw bytes, circuit pointer
+// included, so the listed test name changed with every load address.
+void PrintTo(const ProverPin& pin, std::ostream* os) { *os << pin.circuit; }
 
 // clang-format off
 const ProverPin kProverPins[] = {

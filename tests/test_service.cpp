@@ -393,6 +393,68 @@ TEST_F(ServiceTest, ChangedSpecIsNotResumed) {
   }
 }
 
+TEST_F(ServiceTest, RestartAfterABenchEditRunsTheJobAgain) {
+  // The journal's record keys on the netlist the spec reads: a service
+  // restarted on the same journal after the .bench was rewritten runs the
+  // job again instead of answering from the stale record.
+  const fs::path bench = dir_ / "product.bench";
+  const auto write_bench = [&](const std::string& text) {
+    std::ofstream out(bench, std::ios::trunc);
+    out << text;
+  };
+  write_bench("INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = AND(a, b)\n");
+  const std::string spec = write_spec(
+      "product.spec", "circuit = " + bench.string() +
+                          "\nsource = lfsr\npatterns = 16\nobserve = full\n"
+                          "engine = ppsfp\nchips = 0\nyield = 0.1\nn0 = 5\n");
+  {
+    FlowService service(lane1_options());
+    const JobInfo done = service.wait(service.submit(spec));
+    ASSERT_EQ(done.record.status, "ok") << done.record.error;
+    EXPECT_EQ(done.record.classes, 4u);
+  }
+  write_bench(
+      "INPUT(a)\nINPUT(b)\nINPUT(c)\nOUTPUT(y)\nOUTPUT(z)\n"
+      "t = NAND(a, b)\ny = OR(t, c)\nz = XOR(a, c)\n");
+  {
+    FlowService service(lane1_options());
+    const JobInfo done = service.wait(service.submit(spec));
+    EXPECT_FALSE(done.record.resumed);
+    ASSERT_EQ(done.record.status, "ok") << done.record.error;
+    EXPECT_EQ(done.record.classes, 16u);
+    EXPECT_EQ(service.stats().resumed, 0u);
+  }
+}
+
+// ---- job lanes ----
+
+TEST_F(ServiceTest, TwoJobLanesRunTwoAllCoreJobsAtOnce) {
+  // A job lane is a thread of its own, not a share of the shared pool:
+  // two jobs that each grade on every core (`threads = 0`) both run at
+  // once on a 2-lane service, whatever the hardware. Both hold their
+  // lanes in the "flow.grade" checkpoint's sleep while this test looks.
+  util::Failpoints::instance().arm_from_string("flow.grade=sleep(500,2)");
+  ServiceOptions options = lane1_options();
+  options.num_workers = 2;
+  FlowService service(options);
+  const std::string text =
+      "circuit = c17\nsource = lfsr\npatterns = 64\nobserve = full\n"
+      "engine = ppsfp\nthreads = 0\n";
+  const std::uint64_t a = service.submit(write_spec("a.spec", text));
+  const std::uint64_t b = service.submit(write_spec("b.spec", text));
+  bool both_running = false;
+  for (int i = 0; i < 2000 && !both_running; ++i) {
+    both_running = service.status(a)->state == JobState::kRunning &&
+                   service.status(b)->state == JobState::kRunning;
+    if (!both_running) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+  EXPECT_TRUE(both_running);
+  EXPECT_EQ(service.wait(a).record.status, "ok");
+  EXPECT_EQ(service.wait(b).record.status, "ok");
+}
+
 // ---- bounded cache under load (the daemon memory contract) ----
 
 TEST_F(ServiceTest, HundredJobRunStaysUnderCacheBoundWithEvictions) {

@@ -79,7 +79,10 @@ Batch mode (--batch <manifest>):
   the list file's directory). Specs run concurrently; one JSONL record
   per spec is streamed to stdout in completion order.
 
-  --jobs N              concurrent spec runners (0 = hardware threads)
+  --jobs N              concurrent spec runners (0 = hardware threads).
+                        Runners and each spec's `threads` lanes share
+                        one pool, so a batch never runs on more threads
+                        at once than the hardware has
   --checkpoint FILE     JSONL result store doubling as a checkpoint:
                         re-running the same manifest skips unchanged "ok"
                         specs and re-attempts failures

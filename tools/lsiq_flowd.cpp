@@ -4,7 +4,7 @@
 //
 // Clients (lsiq_flow --server ..., or anything that speaks the protocol
 // of src/service/protocol.hpp) submit flow specs over the UNIX socket;
-// jobs run asynchronously on worker lanes with the same isolation,
+// jobs run asynchronously on job lanes with the same isolation,
 // retry, deadline and result-record semantics as `lsiq_flow --batch`,
 // sharing one bounded artifact cache across every job the daemon ever
 // runs. The JSONL store is an append-mode journal: restart the daemon on
@@ -37,7 +37,7 @@ namespace {
 constexpr const char* kHelp = R"help(usage: lsiq_flowd --server SOCKET [options]
 
 Run the flow service daemon: accept flow-spec jobs over a UNIX-domain
-socket, execute them asynchronously on worker lanes, and journal one
+socket, execute them asynchronously on job lanes, and journal one
 JSONL result record per job. Submit work with `lsiq_flow --server
 SOCKET --submit spec.spec` (see lsiq_flow --help) or any client that
 speaks the line-delimited JSON protocol (README.md, "Flow service").
@@ -50,7 +50,11 @@ Options:
                         resume journal across daemon restarts
   --no-resume           do not satisfy submits from unchanged-ok store
                         records
-  --jobs N              worker lanes (default 2; 0 = hardware threads)
+  --jobs N              job lanes (default 2; 0 = hardware threads): N
+                        threads that each run one job at a time. Jobs
+                        grade their `threads` lanes on one shared pool
+                        of hardware threads - 1 workers, so the daemon
+                        runs N lanes plus that pool
   --queue N             admission bound: max queued jobs (default 256);
                         submits beyond it are refused with error_code
                         "queue_full"
